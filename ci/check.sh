@@ -13,6 +13,7 @@
 #                               #   tally shard/thread-invariance
 #   CONFIG=relperf ci/check.sh  # Release: perf_snapshot twice (process-level
 #                               #   counter determinism) + warm-cache timing
+#                               #   + perfbench/determinism.py
 #   JOBS=8 ci/check.sh          # parallel build/test width
 #
 # Each configuration builds into its own tree (build-ci, build-ci-tsan,
@@ -144,8 +145,9 @@ svc_leg() {
 # Release-mode scenario-throughput leg: runs the perf_snapshot basket twice
 # in fresh processes and requires byte-identical counters (each run is
 # cache-cold at rep 0, so totals must agree run-to-run, not just
-# thread-to-thread), then gates the warm-cache speedup. Timing snapshots
-# land in build-ci-relperf/ for CI to upload as artifacts.
+# thread-to-thread), then gates the warm-cache speedup and runs the repo
+# benchmark's determinism check. Timing snapshots land in build-ci-relperf/
+# for CI to upload as artifacts.
 relperf_leg() {
   local dir=build-ci-relperf
   echo "== configure ${dir} (Release)"
@@ -172,6 +174,12 @@ relperf_leg() {
 
   echo "== warm-cache speedup"
   python3 ci/check_timing.py "${dir}/BENCH_relperf_a.json"
+
+  # The compute-once contract end to end on the repo benchmark: output
+  # digests and cold-cycle plancache.*/scenario.* hit and miss counts must
+  # match at 1 vs 4 threads and differ between seeds 1 and 2.
+  echo "== perfbench determinism"
+  python3 perfbench/determinism.py --seconds 1
 }
 
 case "${CONFIG}" in

@@ -5,7 +5,6 @@
 #include "collectives/plan_cache.hpp"
 #include "collectives/planners.hpp"
 #include "core/topology.hpp"
-#include "experiments/scenario_cache.hpp"
 #include "obs/metrics.hpp"
 #include "sim/cluster_sim.hpp"
 #include "util/csv.hpp"
@@ -116,13 +115,6 @@ void write_chaos_csv(const ChaosTable& table, const std::string& path) {
   }
 }
 
-double simulate_makespan_with_faults(const MachineTree& tree,
-                                     const CommSchedule& schedule,
-                                     const sim::SimParams& params,
-                                     const faults::FaultInjector* injector) {
-  return ScenarioCache::global().makespan(tree, schedule, params, injector);
-}
-
 ImprovementTable gather_root_experiment_with_faults(
     const FigureConfig& config, const faults::FaultPlan& plan,
     SweepRunner& runner) {
@@ -138,9 +130,9 @@ ImprovementTable gather_root_experiment_with_faults(
             cached_plan(tree, CollectiveKind::kGather, cell.n, fast);
         const auto plan_s =
             cached_plan(tree, CollectiveKind::kGather, cell.n, slow);
-        const double t_f = simulate_makespan_with_faults(
+        const double t_f = simulate_makespan(
             tree, plan_f->schedule, config.sim, &injector);
-        const double t_s = simulate_makespan_with_faults(
+        const double t_s = simulate_makespan(
             tree, plan_s->schedule, config.sim, &injector);
         return t_s / t_f;
       });
@@ -161,9 +153,9 @@ ImprovementTable broadcast_root_experiment_with_faults(
             cached_plan(tree, CollectiveKind::kBroadcast, cell.n, fast);
         const auto plan_s =
             cached_plan(tree, CollectiveKind::kBroadcast, cell.n, slow);
-        const double t_f = simulate_makespan_with_faults(
+        const double t_f = simulate_makespan(
             tree, plan_f->schedule, config.sim, &injector);
-        const double t_s = simulate_makespan_with_faults(
+        const double t_s = simulate_makespan(
             tree, plan_s->schedule, config.sim, &injector);
         return t_s / t_f;
       });
@@ -206,9 +198,9 @@ ChaosTable chaos_sweep(const ChaosConfig& config, SweepRunner& runner) {
 
     const auto gather_plan_f = cached_plan(tree, CollectiveKind::kGather, n, fast);
     const auto gather_plan_s = cached_plan(tree, CollectiveKind::kGather, n, slow);
-    const double gather_f = simulate_makespan_with_faults(
+    const double gather_f = simulate_makespan(
         tree, gather_plan_f->schedule, config.sim, &injector);
-    const double gather_s = simulate_makespan_with_faults(
+    const double gather_s = simulate_makespan(
         tree, gather_plan_s->schedule, config.sim, &injector);
     table.gather_factor[row][col] = gather_s / gather_f;
 
@@ -216,9 +208,9 @@ ChaosTable chaos_sweep(const ChaosConfig& config, SweepRunner& runner) {
         cached_plan(tree, CollectiveKind::kBroadcast, n, fast);
     const auto bcast_plan_s =
         cached_plan(tree, CollectiveKind::kBroadcast, n, slow);
-    const double bcast_f = simulate_makespan_with_faults(
+    const double bcast_f = simulate_makespan(
         tree, bcast_plan_f->schedule, config.sim, &injector);
-    const double bcast_s = simulate_makespan_with_faults(
+    const double bcast_s = simulate_makespan(
         tree, bcast_plan_s->schedule, config.sim, &injector);
     table.broadcast_factor[row][col] = bcast_s / bcast_f;
   });

@@ -77,14 +77,6 @@ struct ChaosTable {
 /// Writes chaos_csv(table) to `path` (RFC-4180, via util::CsvWriter).
 void write_chaos_csv(const ChaosTable& table, const std::string& path);
 
-/// Simulated makespan of a schedule with a fault injector attached
-/// (nullptr runs fault-free, identical to simulate_makespan). Served through
-/// exp::ScenarioCache::global(), keyed additionally by the injector's
-/// fault-plan fingerprint; hits replay the captured sim.* metrics.
-[[nodiscard]] double simulate_makespan_with_faults(
-    const MachineTree& tree, const CommSchedule& schedule,
-    const sim::SimParams& params, const faults::FaultInjector* injector);
-
 /// Fig 3(a)/4(a) sweeps with a caller-supplied fault plan applied to every
 /// cell (entries for pids outside a cell's machine are inert). With an empty
 /// plan the tables equal gather_root_experiment / broadcast_root_experiment

@@ -55,8 +55,9 @@ bytemark::NoiseOptions cell_noise(const FigureConfig& config,
 }  // namespace
 
 double simulate_makespan(const MachineTree& tree, const CommSchedule& schedule,
-                         const sim::SimParams& params) {
-  return ScenarioCache::global().makespan(tree, schedule, params);
+                         const sim::SimParams& params,
+                         const faults::FaultInjector* injector) {
+  return ScenarioCache::global().makespan(tree, schedule, params, injector);
 }
 
 MachineTree make_ranked_testbed(int p, const FigureConfig& config) {

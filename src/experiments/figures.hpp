@@ -29,6 +29,7 @@
 #include "core/machine.hpp"
 #include "core/schedule.hpp"
 #include "experiments/sweep.hpp"
+#include "faults/injector.hpp"
 #include "sim/sim_params.hpp"
 #include "util/table.hpp"
 
@@ -48,13 +49,15 @@ struct FigureConfig {
   int threads = 1;  ///< sweep worker threads; < 1 uses the hardware count
 };
 
-/// Simulated makespan of a schedule on a machine, served through
+/// Simulated makespan of a schedule on a machine, optionally with a fault
+/// injector attached (nullptr runs fault-free). Served through
 /// exp::ScenarioCache::global(): the first request for a (machine, schedule,
-/// params) scenario simulates; repeats return the memoized makespan and
-/// replay the identical sim.* registry contribution.
-[[nodiscard]] double simulate_makespan(const MachineTree& tree,
-                                       const CommSchedule& schedule,
-                                       const sim::SimParams& params);
+/// params, fault plan) scenario simulates; repeats return the memoized
+/// makespan and replay the identical sim.* registry contribution.
+[[nodiscard]] double simulate_makespan(
+    const MachineTree& tree, const CommSchedule& schedule,
+    const sim::SimParams& params,
+    const faults::FaultInjector* injector = nullptr);
 
 /// The first p testbed machines with workload fractions re-estimated from a
 /// noisy simulated BYTEmark run (true r values, estimated c values) — the

@@ -1,22 +1,15 @@
 #include "experiments/scenario_cache.hpp"
 
-#include <iterator>
-#include <utility>
-
 #include "obs/metrics.hpp"
 #include "util/hash.hpp"
 
 namespace hbsp::exp {
+namespace {
 
-ScenarioCache& ScenarioCache::global() {
-  static ScenarioCache cache;
-  return cache;
-}
-
-ScenarioKey ScenarioCache::key_for(const MachineTree& tree,
-                                   const CommSchedule& schedule,
-                                   const sim::SimParams& params,
-                                   const faults::FaultInjector* injector) {
+ScenarioKey scenario_key(const MachineTree& tree,
+                         const CommSchedule& schedule,
+                         const sim::SimParams& params,
+                         const faults::FaultInjector* injector) {
   util::Hash64 fault;
   fault.add(injector != nullptr ? 1u : 0u);
   fault.add(injector != nullptr ? injector->plan().fingerprint() : 0u);
@@ -28,90 +21,41 @@ ScenarioKey ScenarioCache::key_for(const MachineTree& tree,
   };
 }
 
+}  // namespace
+
+ScenarioCache& ScenarioCache::global() {
+  static ScenarioCache cache;
+  return cache;
+}
+
 double ScenarioCache::makespan(const MachineTree& tree,
                                const CommSchedule& schedule,
                                const sim::SimParams& params,
                                const faults::FaultInjector* injector) {
-  const ScenarioKey key = key_for(tree, schedule, params, injector);
   auto& registry = obs::Registry::global();
-
-  std::unique_lock lock{mutex_};
-  for (;;) {
-    auto it = entries_.find(key);
-    if (it == entries_.end()) break;  // absent: this thread simulates
-    if (it->second.result != nullptr) {
-      it->second.stamp = ++next_stamp_;
-      const auto result = it->second.result;
-      lock.unlock();
-      registry.counter("scenario.hits").increment();
-      // Replay the builder's registry contribution so totals are identical
-      // to an uncached re-simulation.
-      sim::replay_run_metrics(result->metrics);
-      return result->makespan;
-    }
-    // Another thread is simulating this key: compute-once blocking keeps the
-    // miss count a pure function of the distinct scenarios requested.
-    ready_.wait(lock);
+  bool simulated = false;
+  const auto result =
+      memo_.get(scenario_key(tree, schedule, params, injector), [&] {
+        // Counted before simulating: a scenario the simulator rejects still
+        // counts its miss.
+        simulated = true;
+        registry.counter("scenario.misses").increment();
+        sim::ClusterSim simulator{tree, params};
+        simulator.set_fault_injector(injector);
+        ScenarioResult fresh;
+        fresh.makespan = simulator.run(schedule).makespan;
+        fresh.metrics = simulator.run_metrics();
+        return fresh;
+      });
+  if (simulated) {
+    registry.gauge("scenario.size").set(static_cast<double>(size()));
+  } else {
+    registry.counter("scenario.hits").increment();
+    // Replay the builder's registry contribution so totals are identical
+    // to an uncached re-simulation.
+    sim::replay_run_metrics(result->metrics);
   }
-
-  entries_[key] = Entry{nullptr, ++next_stamp_};
-  lock.unlock();
-  registry.counter("scenario.misses").increment();
-
-  std::shared_ptr<const ScenarioResult> result;
-  try {
-    auto built = std::make_shared<ScenarioResult>();
-    sim::ClusterSim simulator{tree, params};
-    simulator.set_fault_injector(injector);
-    built->makespan = simulator.run(schedule).makespan;
-    built->metrics = simulator.run_metrics();
-    result = std::move(built);
-  } catch (...) {
-    // The simulator rejected the scenario (e.g. schedule fails validation):
-    // remove the placeholder so waiters retry instead of hanging, and let
-    // the caller see the error.
-    lock.lock();
-    entries_.erase(key);
-    ready_.notify_all();
-    throw;
-  }
-
-  lock.lock();
-  Entry& entry = entries_[key];
-  entry.result = result;
-  entry.stamp = ++next_stamp_;
-  evict_locked();
-  registry.gauge("scenario.size").set(static_cast<double>(entries_.size()));
-  ready_.notify_all();
   return result->makespan;
-}
-
-void ScenarioCache::evict_locked() {
-  if (max_entries_ == 0) return;
-  while (entries_.size() > max_entries_) {
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.result == nullptr) continue;  // simulation in flight
-      if (victim == entries_.end() || it->second.stamp < victim->second.stamp) {
-        victim = it;
-      }
-    }
-    if (victim == entries_.end()) return;  // everything is being simulated
-    entries_.erase(victim);
-    obs::Registry::global().counter("scenario.evictions").increment();
-  }
-}
-
-void ScenarioCache::clear() {
-  std::lock_guard lock{mutex_};
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = it->second.result != nullptr ? entries_.erase(it) : std::next(it);
-  }
-}
-
-std::size_t ScenarioCache::size() const {
-  std::lock_guard lock{mutex_};
-  return entries_.size();
 }
 
 }  // namespace hbsp::exp

@@ -11,9 +11,11 @@
 //   (machine fingerprint, schedule fingerprint, params fingerprint,
 //    fault-plan fingerprint)  →  (makespan, captured sim.* metrics)
 //
-// with the same compute-once blocking discipline as PlanCache, so hit/miss
-// counters are a pure function of the distinct scenarios requested at any
-// thread count.
+// on the same util::Memo as PlanCache, so hit/miss counters are a pure
+// function of the distinct scenarios requested at any thread count. A
+// request served from another request's entry simulates nothing, so it
+// records no simulator spans; comparative trace runs keep their scenarios
+// distinct.
 //
 // Observability invariant: a hit replays the builder's captured RunMetrics
 // into obs::Registry::global() (sim::replay_run_metrics), so every counter
@@ -28,18 +30,15 @@
 // random draw (load factors, message loss) is keyed by seeds inside
 // SimParams / FaultPlan that the fingerprints cover.
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 
 #include "core/machine.hpp"
 #include "core/schedule.hpp"
 #include "faults/injector.hpp"
 #include "sim/cluster_sim.hpp"
 #include "sim/sim_params.hpp"
+#include "util/memo.hpp"
 
 namespace hbsp::exp {
 
@@ -64,18 +63,9 @@ struct ScenarioResult {
 
 class ScenarioCache {
  public:
-  /// `max_entries` == 0 means unbounded (no eviction ever).
-  explicit ScenarioCache(std::size_t max_entries = 0)
-      : max_entries_(max_entries) {}
-
-  /// The process-wide cache behind exp::simulate_makespan and
-  /// exp::simulate_makespan_with_faults. Unbounded; clear() it at workload
-  /// boundaries when cold timings matter.
+  /// The process-wide cache behind exp::simulate_makespan. clear() it at
+  /// workload boundaries when cold timings matter.
   static ScenarioCache& global();
-
-  [[nodiscard]] static ScenarioKey key_for(
-      const MachineTree& tree, const CommSchedule& schedule,
-      const sim::SimParams& params, const faults::FaultInjector* injector);
 
   /// The memoized makespan of the scenario, simulating on first use.
   /// A hit replays the captured sim.* metrics into the global registry; a
@@ -86,28 +76,12 @@ class ScenarioCache {
                   const faults::FaultInjector* injector = nullptr);
 
   /// Drops every completed entry (builds in flight finish normally).
-  void clear();
+  void clear() { memo_.clear(); }
 
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t max_entries() const noexcept {
-    return max_entries_;
-  }
+  [[nodiscard]] std::size_t size() const { return memo_.size(); }
 
  private:
-  struct Entry {
-    std::shared_ptr<const ScenarioResult> result;  ///< null while simulating
-    std::uint64_t stamp = 0;                       ///< last access, monotone
-  };
-
-  /// Must hold mutex_. Evicts least-recently-used completed entries until
-  /// the size bound holds; in-flight builds are never victims.
-  void evict_locked();
-
-  std::size_t max_entries_;
-  mutable std::mutex mutex_;
-  std::condition_variable ready_;
-  std::map<ScenarioKey, Entry> entries_;
-  std::uint64_t next_stamp_ = 0;
+  util::Memo<ScenarioKey, ScenarioResult> memo_;
 };
 
 }  // namespace hbsp::exp

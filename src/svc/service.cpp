@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "collectives/advisor.hpp"
-#include "experiments/chaos.hpp"
 #include "experiments/figures.hpp"
 #include "faults/injector.hpp"
 #include "obs/metrics.hpp"
@@ -52,44 +51,25 @@ std::uint64_t ResponseBody::content_fingerprint() const noexcept {
 
 std::uint64_t Service::Canonical::key() const noexcept {
   util::Hash64 hash;
-  hash.add_int(static_cast<int>(kind));
-  hash.add(tree_fingerprint);
-  switch (kind) {
+  hash.add_int(static_cast<int>(content.kind));
+  hash.add(content.tree_fingerprint);
+  switch (content.kind) {
     case RequestKind::kAdvise:
-      hash.add_int(static_cast<int>(collective));
-      hash.add(static_cast<std::uint64_t>(n));
-      hash.add(params_fingerprint);
+      hash.add_int(static_cast<int>(content.collective));
+      hash.add(static_cast<std::uint64_t>(content.n));
+      hash.add(content.params_fingerprint);
       break;
     case RequestKind::kPlan:
-      hash.add(coll::plan_request_fingerprint(spec));
+      hash.add(coll::plan_request_fingerprint(content.spec));
       break;
     case RequestKind::kSimulate:
-      hash.add(coll::plan_request_fingerprint(spec));
-      hash.add(params_fingerprint);
-      hash.add_int(fault_plan != nullptr ? 1 : 0);
-      hash.add(fault_fingerprint);
+      hash.add(coll::plan_request_fingerprint(content.spec));
+      hash.add(content.params_fingerprint);
+      hash.add_int(content.faulted ? 1 : 0);
+      hash.add(content.fault_fingerprint);
       break;
   }
   return hash.digest();
-}
-
-bool Service::Canonical::same_content(const Canonical& other) const noexcept {
-  if (kind != other.kind || tree_fingerprint != other.tree_fingerprint) {
-    return false;
-  }
-  switch (kind) {
-    case RequestKind::kAdvise:
-      return collective == other.collective && n == other.n &&
-             params_fingerprint == other.params_fingerprint;
-    case RequestKind::kPlan:
-      return spec == other.spec;
-    case RequestKind::kSimulate:
-      return spec == other.spec &&
-             params_fingerprint == other.params_fingerprint &&
-             (fault_plan != nullptr) == (other.fault_plan != nullptr) &&
-             fault_fingerprint == other.fault_fingerprint;
-  }
-  return false;
 }
 
 namespace {
@@ -130,13 +110,13 @@ Ticket Service::submit(AdviseRequest request, Deadline deadline) {
     throw std::invalid_argument{"svc::AdviseRequest requires a machine tree"};
   }
   Canonical canonical;
-  canonical.kind = RequestKind::kAdvise;
+  canonical.content.kind = RequestKind::kAdvise;
+  canonical.content.tree_fingerprint = request.tree->fingerprint();
+  canonical.content.collective = request.collective;
+  canonical.content.n = request.n;
+  canonical.content.params_fingerprint = request.params.fingerprint();
   canonical.tree = std::move(request.tree);
-  canonical.tree_fingerprint = canonical.tree->fingerprint();
-  canonical.collective = request.collective;
-  canonical.n = request.n;
   canonical.params = request.params;
-  canonical.params_fingerprint = request.params.fingerprint();
   return admit(std::move(canonical), deadline);
 }
 
@@ -145,10 +125,10 @@ Ticket Service::submit(PlanRequest request, Deadline deadline) {
     throw std::invalid_argument{"svc::PlanRequest requires a machine tree"};
   }
   Canonical canonical;
-  canonical.kind = RequestKind::kPlan;
+  canonical.content.kind = RequestKind::kPlan;
+  canonical.content.tree_fingerprint = request.tree->fingerprint();
+  canonical.content.spec = request.spec;
   canonical.tree = std::move(request.tree);
-  canonical.tree_fingerprint = canonical.tree->fingerprint();
-  canonical.spec = request.spec;
   return admit(std::move(canonical), deadline);
 }
 
@@ -157,16 +137,17 @@ Ticket Service::submit(SimulateRequest request, Deadline deadline) {
     throw std::invalid_argument{"svc::SimulateRequest requires a machine tree"};
   }
   Canonical canonical;
-  canonical.kind = RequestKind::kSimulate;
+  canonical.content.kind = RequestKind::kSimulate;
+  canonical.content.tree_fingerprint = request.tree->fingerprint();
+  canonical.content.spec = request.spec;
+  canonical.content.params_fingerprint = request.params.fingerprint();
+  if (request.fault_plan != nullptr) {
+    canonical.content.faulted = true;
+    canonical.content.fault_fingerprint = request.fault_plan->fingerprint();
+  }
   canonical.tree = std::move(request.tree);
-  canonical.tree_fingerprint = canonical.tree->fingerprint();
-  canonical.spec = request.spec;
   canonical.params = request.params;
-  canonical.params_fingerprint = request.params.fingerprint();
   canonical.fault_plan = std::move(request.fault_plan);
-  canonical.fault_fingerprint = canonical.fault_plan != nullptr
-                                    ? canonical.fault_plan->fingerprint()
-                                    : 0u;
   return admit(std::move(canonical), deadline);
 }
 
@@ -180,7 +161,8 @@ Ticket Service::admit(Canonical request, Deadline deadline) {
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
   std::lock_guard lock{mutex_};
   registry.counter("svc.requests").increment();
-  registry.counter(std::string{"svc.requests."} + to_string(request.kind))
+  registry
+      .counter(std::string{"svc.requests."} + to_string(request.content.kind))
       .increment();
   // Every submit owns an ordinal; at trace_sample_every == 1 each sampled
   // ordinal yields exactly one kRequest span, so span count == svc.requests.
@@ -193,20 +175,18 @@ Ticket Service::admit(Canonical request, Deadline deadline) {
   // 1. Coalesce: an in-flight twin (queued or executing, promise not yet
   //    fulfilled) answers for us. Checked before the deadline so an expired
   //    request whose twin is still wanted gets served rather than shed.
-  if (const auto it = inflight_.find(key); it != inflight_.end()) {
-    for (const std::shared_ptr<Job>& job : it->second) {
-      if (!job->request.same_content(request)) continue;  // hash collision
-      job->member_submits.push_back(now);
-      job->effective_deadline = std::max(job->effective_deadline, deadline.at);
-      registry.counter("svc.coalesced").increment();
-      if (traced) {
-        recorder.record_span(
-            request_track(ordinal), "coalesced", obs::SpanKind::kRequest,
-            obs::Timebase::kWall, now, now,
-            {{"leader", static_cast<std::int64_t>(job->ordinal)}});
-      }
-      return Ticket{job->future, key, true};
+  if (const auto it = inflight_.find(request.content); it != inflight_.end()) {
+    Job& job = *it->second;
+    job.member_submits.push_back(now);
+    job.effective_deadline = std::max(job.effective_deadline, deadline.at);
+    registry.counter("svc.coalesced").increment();
+    if (traced) {
+      recorder.record_span(
+          request_track(ordinal), "coalesced", obs::SpanKind::kRequest,
+          obs::Timebase::kWall, now, now,
+          {{"leader", static_cast<std::int64_t>(job.ordinal)}});
     }
+    return Ticket{job.future, key, true};
   }
 
   // 2. Deadline: an already-expired request with no twin never executes.
@@ -248,7 +228,7 @@ Ticket Service::admit(Canonical request, Deadline deadline) {
   job->future = job->promise.get_future().share();
 
   queues_[static_cast<std::size_t>(shard)].push_back(job);
-  inflight_[key].push_back(job);
+  inflight_.emplace(job->request.content, job);
   ++queued_;
   if (queued_ > depth_high_water_) {
     depth_high_water_ = queued_;
@@ -274,12 +254,12 @@ Response Service::compute(const Canonical& request) {
 
   Response response;
   response.outcome = Outcome::kCompleted;
-  switch (request.kind) {
+  switch (request.content.kind) {
     case RequestKind::kAdvise: {
       double t0 = tracing ? now_seconds() : 0.0;
-      const coll::CollectiveAdvice advice =
-          coll::advise(*request.tree, request.collective, request.n);
-      response.body.spec = advice.request(request.n);
+      const coll::CollectiveAdvice advice = coll::advise(
+          *request.tree, request.content.collective, request.content.n);
+      response.body.spec = advice.request(request.content.n);
       stage("advise", t0);
       t0 = tracing ? now_seconds() : 0.0;
       response.body.plan =
@@ -294,30 +274,26 @@ Response Service::compute(const Canonical& request) {
       break;
     }
     case RequestKind::kPlan: {
-      response.body.spec = request.spec;
+      response.body.spec = request.content.spec;
       const double t0 = tracing ? now_seconds() : 0.0;
       response.body.plan =
-          coll::PlanCache::global().get(*request.tree, request.spec);
+          coll::PlanCache::global().get(*request.tree, request.content.spec);
       stage("plan", t0);
       break;
     }
     case RequestKind::kSimulate: {
-      response.body.spec = request.spec;
+      response.body.spec = request.content.spec;
       double t0 = tracing ? now_seconds() : 0.0;
       response.body.plan =
-          coll::PlanCache::global().get(*request.tree, request.spec);
+          coll::PlanCache::global().get(*request.tree, request.content.spec);
       stage("plan", t0);
       response.body.simulated = true;
       t0 = tracing ? now_seconds() : 0.0;
-      if (request.fault_plan != nullptr) {
-        const faults::FaultInjector injector{*request.fault_plan};
-        response.body.simulated_makespan = exp::simulate_makespan_with_faults(
-            *request.tree, response.body.plan->schedule, request.params,
-            &injector);
-      } else {
-        response.body.simulated_makespan = exp::simulate_makespan(
-            *request.tree, response.body.plan->schedule, request.params);
-      }
+      std::optional<faults::FaultInjector> injector;
+      if (request.fault_plan != nullptr) injector.emplace(*request.fault_plan);
+      response.body.simulated_makespan = exp::simulate_makespan(
+          *request.tree, response.body.plan->schedule, request.params,
+          injector.has_value() ? &*injector : nullptr);
       stage("simulate", t0);
       break;
     }
@@ -335,11 +311,7 @@ void Service::execute(const std::shared_ptr<Job>& job) {
   {
     std::lock_guard lock{mutex_};
     if (start > job->effective_deadline) {
-      auto it = inflight_.find(job->key);
-      if (it != inflight_.end()) {
-        std::erase(it->second, job);
-        if (it->second.empty()) inflight_.erase(it);
-      }
+      inflight_.erase(job->request.content);
       const std::uint64_t members = job->member_submits.size();
       registry.counter("svc.shed.deadline").add(members);
       if (job->traced && obs::TraceRecorder::global().enabled()) {
@@ -369,7 +341,7 @@ void Service::execute(const std::shared_ptr<Job>& job) {
   std::string track;
   if (traced) {
     track = request_track(job->ordinal);
-    recorder.begin_span(track, to_string(job->request.kind),
+    recorder.begin_span(track, to_string(job->request.content.kind),
                         obs::SpanKind::kRequest, obs::Timebase::kWall, start);
     recorder.record_span(track, "queue", obs::SpanKind::kStage,
                          obs::Timebase::kWall, job->member_submits.front(),
@@ -393,11 +365,7 @@ void Service::execute(const std::shared_ptr<Job>& job) {
   std::vector<double> members;
   {
     std::lock_guard lock{mutex_};
-    auto it = inflight_.find(job->key);
-    if (it != inflight_.end()) {
-      std::erase(it->second, job);
-      if (it->second.empty()) inflight_.erase(it);
-    }
+    inflight_.erase(job->request.content);
     members = std::move(job->member_submits);
   }
 

@@ -13,15 +13,14 @@
 // order (which is what makes the load harness's outcome tally a pure
 // function of the arrival sequence):
 //
-//   coalescing    requests are keyed on the PR 5 content fingerprints
-//                 (machine tree, planner request, SimParams, fault plan). A
-//                 request whose key matches an in-flight twin attaches to
-//                 the twin's future instead of consuming a queue slot — N
-//                 identical concurrent requests trigger exactly one compute.
-//                 Keys are hashes, so the in-flight table keeps the full
-//                 request content and verifies equality before attaching; a
-//                 hash collision degrades to a separate compute, never to a
-//                 wrong response.
+//   coalescing    the in-flight table is keyed on the request content
+//                 verbatim (kind, planner request, n, and the machine tree,
+//                 SimParams and fault plan by content fingerprint). A
+//                 request whose content matches an in-flight twin attaches
+//                 to the twin's future instead of consuming a queue slot —
+//                 N identical concurrent requests trigger exactly one
+//                 compute. This is decided at submit, before any compute
+//                 starts, so it cannot reuse the caches' in-flight entries.
 //
 //   admission     the queue is bounded (ServiceConfig::queue_capacity, total
 //                 across shards). A request that finds the queue full is
@@ -163,7 +162,7 @@ struct ResponseBody {
 /// how many twins were served, when it finished). Never part of the
 /// determinism contract.
 struct Provenance {
-  std::uint64_t key = 0;       ///< coalescing key (request content hash)
+  std::uint64_t key = 0;       ///< request content digest (picks the shard)
   int shard = -1;              ///< admission shard, key % shards
   std::uint64_t served = 1;    ///< requests answered by this one compute
   double completed_at = 0.0;   ///< now_seconds() when the response was ready
@@ -237,24 +236,32 @@ class Service {
   [[nodiscard]] std::size_t queue_depth() const;
 
  private:
-  /// A request normalised to one shape, with every fingerprint the
-  /// coalescing key needs precomputed.
+  /// A request normalised to one shape, with every fingerprint coalescing
+  /// compares precomputed.
   struct Canonical {
-    RequestKind kind = RequestKind::kPlan;
-    std::shared_ptr<const MachineTree> tree;
-    std::uint64_t tree_fingerprint = 0;
-    coll::CollectiveKind collective = coll::CollectiveKind::kGather;  // advise
-    std::size_t n = 0;                                                // advise
-    coll::PlanRequest spec;           // plan / simulate
-    sim::SimParams params;            // advise / simulate
-    std::uint64_t params_fingerprint = 0;
-    std::shared_ptr<const faults::FaultPlan> fault_plan;  // simulate
-    std::uint64_t fault_fingerprint = 0;
+    /// What coalescing compares, verbatim: trees, SimParams and fault plans
+    /// by content fingerprint, like the caches. Fields a kind does not use
+    /// keep their defaults, so comparing whole Contents compares per kind.
+    struct Content {
+      RequestKind kind = RequestKind::kPlan;
+      std::uint64_t tree_fingerprint = 0;
+      coll::CollectiveKind collective = coll::CollectiveKind::kGather;
+      std::size_t n = 0;                     // advise: collective, n
+      coll::PlanRequest spec;                // plan / simulate
+      std::uint64_t params_fingerprint = 0;  // advise / simulate
+      bool faulted = false;                  // simulate
+      std::uint64_t fault_fingerprint = 0;   // simulate
 
+      friend auto operator<=>(const Content&, const Content&) = default;
+    };
+
+    Content content;
+    std::shared_ptr<const MachineTree> tree;
+    sim::SimParams params;                                // advise / simulate
+    std::shared_ptr<const faults::FaultPlan> fault_plan;  // simulate
+
+    /// 64-bit digest of `content`: picks the shard and is the provenance key.
     [[nodiscard]] std::uint64_t key() const noexcept;
-    /// Full content equality (trees compare by fingerprint, like the plan
-    /// cache): the collision check behind every coalescing attach.
-    [[nodiscard]] bool same_content(const Canonical& other) const noexcept;
   };
 
   /// One admitted compute plus everyone waiting on it.
@@ -287,9 +294,8 @@ class Service {
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::vector<std::deque<std::shared_ptr<Job>>> queues_;  ///< one per shard
-  /// In-flight jobs (queued or executing) by key; vectors chain the
-  /// hash-collision case.
-  std::map<std::uint64_t, std::vector<std::shared_ptr<Job>>> inflight_;
+  /// In-flight jobs (queued or executing) by request content.
+  std::map<Canonical::Content, std::shared_ptr<Job>> inflight_;
   std::size_t queued_ = 0;   ///< jobs admitted, not yet dispatched
   std::size_t depth_high_water_ = 0;
   std::uint64_t next_ordinal_ = 0;  ///< submit ordinal; keys trace sampling

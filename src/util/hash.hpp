@@ -6,12 +6,13 @@
 // seed splitting). Digests are a pure function of the value stream — no
 // pointers, no addresses, no iteration order of unordered containers — so a
 // fingerprint is identical across runs, thread counts and platforms with the
-// same double representation. That is the property coll::PlanCache and
-// exp::ScenarioCache key on.
+// same double representation. That is the property the content
+// fingerprints of machines, schedules, SimParams and fault plans rely on.
 //
-// Not cryptographic: distinct streams can collide in principle, so a cache
-// keyed on a digest must keep enough of the original request to detect a
-// collision and rebuild deterministically instead of serving a wrong entry.
+// Not cryptographic: distinct streams can collide in principle. The caches
+// and svc coalescing take that 2^-64 risk only for those large inputs; a
+// small request struct (coll::PlanRequest, svc's canonical request) goes
+// into a key verbatim rather than through a digest.
 
 #include <algorithm>
 #include <bit>

@@ -202,9 +202,9 @@ TEST_P(RandomMachineProperty, CachedFaultScenarioIsBitIdenticalToDirectSim) {
   direct.set_fault_injector(&injector);
   const double want = direct.run(schedule).makespan;
   const double cold =
-      exp::simulate_makespan_with_faults(tree, schedule, kParams, &injector);
+      exp::simulate_makespan(tree, schedule, kParams, &injector);
   const double warm =
-      exp::simulate_makespan_with_faults(tree, schedule, kParams, &injector);
+      exp::simulate_makespan(tree, schedule, kParams, &injector);
   EXPECT_EQ(cold, want);
   EXPECT_EQ(warm, want);
 }
@@ -217,8 +217,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomMachineProperty,
 TEST(ResilienceCaching, SurvivorTreeRequestsNeverAliasPreFailureKeys) {
   // Why run_with_replanning cannot be served a pre-failure plan after an
   // exclusion: the survivor machine re-fingerprints (renormalised r, pruned
-  // nodes), and the fingerprint is part of every PlanKey, so post-failure
-  // requests key into a disjoint part of the cache by construction.
+  // nodes), and the fingerprint is part of every plan-cache key, so
+  // post-failure requests key into a disjoint part of the cache by
+  // construction.
   RandomTreeOptions options;
   options.levels = 2;
   options.min_fanout = 2;
@@ -232,9 +233,11 @@ TEST(ResilienceCaching, SurvivorTreeRequestsNeverAliasPreFailureKeys) {
     EXPECT_NE(survivor.tree.fingerprint(), tree.fingerprint()) << seed;
     const coll::PlanRequest request{
         .kind = coll::CollectiveKind::kGather, .n = 5000, .root_pid = 0};
-    EXPECT_NE(coll::PlanCache::key_for(tree, request),
-              coll::PlanCache::key_for(survivor.tree, request))
-        << seed;
+    coll::PlanCache cache;
+    const auto before = cache.get(tree, request);
+    const auto after = cache.get(survivor.tree, request);
+    EXPECT_EQ(cache.size(), 2u) << seed;
+    EXPECT_NE(before, after) << seed;
   }
 }
 

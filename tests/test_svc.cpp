@@ -179,8 +179,8 @@ TEST(SvcDifferential, PlanAndSimulateMatchDirectCalls) {
     ASSERT_EQ(faulted.outcome, Outcome::kCompleted) << name;
     const faults::FaultInjector injector{*fault_plan};
     EXPECT_EQ(faulted.body.simulated_makespan,
-              exp::simulate_makespan_with_faults(*tree, direct->schedule,
-                                                 params, &injector))
+              exp::simulate_makespan(*tree, direct->schedule, params,
+                                     &injector))
         << name;
     EXPECT_NE(faulted.body.content_fingerprint(),
               simulated.body.content_fingerprint())

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -98,6 +99,20 @@ svc::SimulateRequest simulate_request(
   spec.n = n;
   spec.root_pid = 0;
   return svc::SimulateRequest{tree, spec, sim::SimParams{}, nullptr};
+}
+
+/// Requests that share a schedule share one ScenarioCache entry, and which
+/// of them simulates (and so records simulator spans) depends on thread
+/// order. The svc trace comparisons therefore need pairwise distinct
+/// schedules; this checks the precondition for the given sizes.
+void expect_distinct_schedules(const std::shared_ptr<const MachineTree>& tree,
+                               const std::vector<std::size_t>& sizes) {
+  std::set<std::uint64_t> fingerprints;
+  for (const std::size_t n : sizes) {
+    const coll::PlanRequest spec = simulate_request(tree, n).spec;
+    fingerprints.insert(coll::build_plan(*tree, spec).fingerprint());
+  }
+  EXPECT_EQ(fingerprints.size(), sizes.size());
 }
 
 TEST(TraceRecorder, ParentLinksAndCanonicalOrder) {
@@ -307,20 +322,23 @@ TEST(TraceDeterminism, SvcRequestSpansReconcileWithCounters) {
 }
 
 TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
-  const auto run = [](int threads, int shards) {
+  const auto tree = std::make_shared<const MachineTree>(make_paper_testbed(8));
+  std::vector<std::size_t> sizes;
+  for (std::size_t i = 0; i < 6; ++i) sizes.push_back(4000 + 7 * i);
+  // Distinct scenarios: a shared one would simulate under whichever request
+  // ran first and hit cache in the other — order-dependent.
+  expect_distinct_schedules(tree, sizes);
+
+  const auto run = [&](int threads, int shards) {
     clear_caches();
     auto& recorder = obs::TraceRecorder::global();
     recorder.clear();
     recorder.set_enabled(true);
-    const auto tree =
-        std::make_shared<const MachineTree>(make_paper_testbed(8));
     {
       svc::Service service{svc::ServiceConfig{threads, shards, 64}};
       std::vector<svc::Ticket> tickets;
-      // Distinct scenarios: a shared one would simulate under whichever
-      // request ran first and hit cache in the other — order-dependent.
-      for (std::size_t i = 0; i < 6; ++i) {
-        tickets.push_back(service.submit(simulate_request(tree, 4000 + 7 * i)));
+      for (const std::size_t n : sizes) {
+        tickets.push_back(service.submit(simulate_request(tree, n)));
       }
       service.pump();
       for (auto& ticket : tickets) (void)ticket.response.get();
@@ -336,21 +354,26 @@ TEST(TraceDeterminism, SvcVirtualTraceIsByteIdenticalAcrossShardCounts) {
 }
 
 TEST(TraceSampling, UnsampledRequestsAreFullyMuted) {
-  const auto traced_requests = [](std::uint64_t every, std::uint64_t seed) {
+  const auto tree = std::make_shared<const MachineTree>(make_paper_testbed(6));
+  std::vector<std::size_t> sizes;
+  for (std::size_t i = 0; i < 12; ++i) sizes.push_back(5000 + 100 * i);
+  // A shared schedule would record its simulator spans under whichever
+  // request simulated first, sampled or not.
+  expect_distinct_schedules(tree, sizes);
+
+  const auto traced_requests = [&](std::uint64_t every, std::uint64_t seed) {
     clear_caches();
     auto& recorder = obs::TraceRecorder::global();
     recorder.clear();
     recorder.set_enabled(true);
-    const auto tree =
-        std::make_shared<const MachineTree>(make_paper_testbed(6));
     {
       svc::ServiceConfig config{2, 2, 64};
       config.trace_sample_every = every;
       config.trace_seed = seed;
       svc::Service service{config};
       std::vector<svc::Ticket> tickets;
-      for (std::size_t i = 0; i < 12; ++i) {
-        tickets.push_back(service.submit(simulate_request(tree, 5000 + i)));
+      for (const std::size_t n : sizes) {
+        tickets.push_back(service.submit(simulate_request(tree, n)));
       }
       service.pump();
       for (auto& ticket : tickets) (void)ticket.response.get();

@@ -1,13 +1,21 @@
-// Unit tests for Table, CsvWriter, Cli and unit formatting.
+// Unit tests for Table, CsvWriter, Cli, unit formatting and Memo.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
+#include "util/memo.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
 
@@ -190,6 +198,103 @@ TEST(Units, IntsInKbytes) {
   // The paper's problem size: 100 KB of 4-byte integers.
   EXPECT_EQ(ints_in_kbytes(100), 25000u);
   EXPECT_EQ(ints_in_kbytes(1000), 250000u);
+}
+
+TEST(Memo, ConcurrentCallersShareOneCompute) {
+  Memo<int, int> memo;
+  std::atomic<int> computes{0};
+  std::promise<void> go;
+  const std::shared_future<void> start = go.get_future().share();
+  std::vector<std::shared_ptr<const int>> results(8);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&, t] {
+      start.wait();
+      results[t] = memo.get(1, [&] {
+        ++computes;
+        // Long enough that the other callers arrive while it is in flight.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return 42;
+      });
+    });
+  }
+  go.set_value();
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(computes.load(), 1);
+  for (const auto& result : results) {
+    ASSERT_NE(result, nullptr);
+    EXPECT_EQ(result, results.front());
+  }
+  EXPECT_EQ(*results.front(), 42);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(Memo, ThrowingComputeLeavesNoEntryAndAWaiterComputes) {
+  Memo<int, int> memo;
+  EXPECT_THROW(
+      (void)memo.get(1, []() -> int { throw std::runtime_error{"x"}; }),
+      std::runtime_error);
+  EXPECT_EQ(memo.size(), 0u);
+
+  // A caller waiting on a compute that throws is woken and computes itself;
+  // only the thrower sees the error.
+  std::promise<void> started;
+  std::promise<void> release;
+  std::future<void> has_started = started.get_future();
+  std::future<void> released = release.get_future();
+  std::thread thrower{[&] {
+    EXPECT_THROW((void)memo.get(2,
+                                [&]() -> int {
+                                  started.set_value();
+                                  released.wait();
+                                  throw std::runtime_error{"rejected"};
+                                }),
+                 std::runtime_error);
+  }};
+  has_started.wait();
+  std::atomic<int> waiter_computes{0};
+  std::thread waiter{[&] {
+    const auto value = memo.get(2, [&] {
+      ++waiter_computes;
+      return 7;
+    });
+    EXPECT_EQ(*value, 7);
+  }};
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  release.set_value();
+  thrower.join();
+  waiter.join();
+  EXPECT_EQ(waiter_computes.load(), 1);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(Memo, ClearKeepsEntriesInFlight) {
+  Memo<int, int> memo;
+  const auto finished = memo.get(1, [] { return 1; });
+  std::promise<void> started;
+  std::promise<void> release;
+  std::future<void> has_started = started.get_future();
+  std::future<void> released = release.get_future();
+  std::shared_ptr<const int> in_flight;
+  std::thread builder{[&] {
+    in_flight = memo.get(2, [&] {
+      started.set_value();
+      released.wait();
+      return 2;
+    });
+  }};
+  has_started.wait();
+  memo.clear();
+  EXPECT_EQ(memo.size(), 1u);  // the finished entry went, the build stayed
+  release.set_value();
+  builder.join();
+
+  // The compute that was in flight during clear() still owns its entry, and
+  // the pointer handed out before clear() stays valid.
+  EXPECT_EQ(memo.get(2, [] { return -1; }), in_flight);
+  EXPECT_EQ(*finished, 1);
+  EXPECT_NE(memo.get(1, [] { return 1; }), finished);
 }
 
 }  // namespace
