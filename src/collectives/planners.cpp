@@ -1,8 +1,8 @@
 #include "collectives/planners.hpp"
 
-#include <map>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/workload.hpp"
 #include "obs/metrics.hpp"
@@ -333,10 +333,10 @@ CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
 
   // Ops owed by each data site, charged in the next phase it takes part in:
   // initially every processor owes its local combine.
-  std::map<int, double> pending;
-  for (int pid = 0; pid < tree.num_processors(); ++pid) {
-    const std::size_t share = shares[static_cast<std::size_t>(pid)];
-    pending[pid] = share > 0 ? static_cast<double>(share) - 1.0 : 0.0;
+  std::vector<double> pending(shares.size());
+  for (std::size_t pid = 0; pid < shares.size(); ++pid) {
+    pending[pid] = shares[pid] > 0 ? static_cast<double>(shares[pid]) - 1.0
+                                   : 0.0;
   }
 
   CommSchedule schedule;
@@ -354,10 +354,10 @@ CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
       std::size_t partials_received = 0;
       for (int child = 0; child < tree.num_children(cluster); ++child) {
         const int site = data_site(tree, tree.child(cluster, child), root_pid);
-        if (const auto owed = pending.find(site);
-            owed != pending.end() && owed->second > 0.0) {
-          plan.compute.push_back({site, owed->second});
-          owed->second = 0.0;
+        if (double& owed = pending[static_cast<std::size_t>(site)];
+            owed > 0.0) {
+          plan.compute.push_back({site, owed});
+          owed = 0.0;
         }
         if (site != target) {
           plan.transfers.push_back({site, target, 1});
@@ -365,7 +365,8 @@ CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
         }
       }
       // The target folds the delivered partials next phase.
-      pending[target] += static_cast<double>(partials_received);
+      pending[static_cast<std::size_t>(target)] +=
+          static_cast<double>(partials_received);
     }
     if (!phase.plans.empty()) schedule.phases.push_back(std::move(phase));
   }
@@ -373,8 +374,9 @@ CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
   SuperstepPlan& final_step =
       schedule.add_step("root combine", tree.height(), tree.root());
   const int root_target = cluster_target(tree, tree.root(), root_pid);
-  if (pending[root_target] > 0.0) {
-    final_step.compute.push_back({root_target, pending[root_target]});
+  if (const double owed = pending[static_cast<std::size_t>(root_target)];
+      owed > 0.0) {
+    final_step.compute.push_back({root_target, owed});
   }
   return schedule;
 }

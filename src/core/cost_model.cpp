@@ -1,7 +1,8 @@
 #include "core/cost_model.hpp"
 
 #include <algorithm>
-#include <map>
+#include <limits>
+#include <vector>
 
 #include "core/dest_costs.hpp"
 
@@ -12,23 +13,38 @@ CostModel::CostModel(const MachineTree& tree, double seconds_per_op)
       seconds_per_op_(seconds_per_op < 0.0 ? tree.g() : seconds_per_op) {}
 
 double CostModel::h_relation(const SuperstepPlan& step) const {
-  // Accumulate per-processor sent/received volumes in one pass; with the §6
-  // extension enabled, each transfer's items are weighted by λ(src,dst).
+  // Accumulate per-processor sent/received volumes in a dense table over the
+  // step's pid span; with the §6 extension enabled, each transfer's items
+  // are weighted by λ(src,dst). The span lies inside the step's sync scope,
+  // so pricing a phase touches each processor at most once.
+  int lo = std::numeric_limits<int>::max();
+  int hi = std::numeric_limits<int>::min();
+  for (const auto& t : step.transfers) {
+    if (t.src_pid == t.dst_pid) continue;
+    lo = std::min({lo, t.src_pid, t.dst_pid});
+    hi = std::max({hi, t.src_pid, t.dst_pid});
+  }
+  if (lo > hi) return 0.0;
+  // Reject bad pids before sizing the table by them.
+  (void)tree_->processor_r(lo);
+  (void)tree_->processor_r(hi);
+
   const bool weighted =
       destination_costs_ != nullptr && !destination_costs_->is_uniform();
-  std::map<int, std::pair<double, double>> traffic;  // pid -> {out, in}
+  const auto span = static_cast<std::size_t>(hi - lo) + 1;
+  std::vector<double> traffic(2 * span, 0.0);  // [2i] out, [2i + 1] in
   for (const auto& t : step.transfers) {
     if (t.src_pid == t.dst_pid) continue;
     const double weight =
         weighted ? destination_costs_->factor(t.src_pid, t.dst_pid) : 1.0;
     const double volume = weight * static_cast<double>(t.items);
-    traffic[t.src_pid].first += volume;
-    traffic[t.dst_pid].second += volume;
+    traffic[2 * static_cast<std::size_t>(t.src_pid - lo)] += volume;
+    traffic[2 * static_cast<std::size_t>(t.dst_pid - lo) + 1] += volume;
   }
   double h = 0.0;
-  for (const auto& [pid, volumes] : traffic) {
-    const double h_j = std::max(volumes.first, volumes.second);
-    h = std::max(h, tree_->processor_r(pid) * h_j);
+  for (std::size_t i = 0; i < span; ++i) {
+    const double h_j = std::max(traffic[2 * i], traffic[2 * i + 1]);
+    h = std::max(h, tree_->processor_r(lo + static_cast<int>(i)) * h_j);
   }
   return h;
 }

@@ -90,9 +90,9 @@ MachineTree MachineTree::build(const MachineSpec& root, double g) {
 
     if (spec.children.empty()) {
       const int pid = static_cast<int>(tree.processors_.size());
-      tree.processors_.push_back(MachineId{level, index});
       Node& n = tree.levels_[static_cast<std::size_t>(level)]
                            [static_cast<std::size_t>(index)];
+      tree.processors_.push_back({MachineId{level, index}, n.r, n.compute_r});
       n.pid = pid;
       n.coordinator_pid = pid;
       n.leaf_begin = pid;
@@ -145,11 +145,27 @@ MachineTree MachineTree::build(const MachineSpec& root, double g) {
 
   // The model normalises the fastest machine's r to 1 (§3.3).
   double min_r = std::numeric_limits<double>::infinity();
-  for (const MachineId id : tree.processors_) min_r = std::min(min_r, tree.r(id));
+  for (const auto& proc : tree.processors_) min_r = std::min(min_r, proc.r);
   if (std::abs(min_r - 1.0) > 1e-6) {
     throw std::invalid_argument{
         "the fastest processor must have r == 1 (found min r = " +
         std::to_string(min_r) + ")"};
+  }
+
+  // Each processor's ancestor at every level, so the per-message queries
+  // never walk parent links.
+  const std::size_t num_pids = tree.processors_.size();
+  const auto levels = static_cast<std::size_t>(tree.num_levels());
+  tree.ancestors_.assign(num_pids * levels, -1);
+  for (std::size_t pid = 0; pid < num_pids; ++pid) {
+    const MachineId leaf = tree.processors_[pid].id;
+    int index = leaf.index;
+    for (int level = leaf.level; index >= 0; ++level) {
+      tree.ancestors_[pid * levels + static_cast<std::size_t>(level)] = index;
+      index = tree.levels_[static_cast<std::size_t>(level)]
+                          [static_cast<std::size_t>(index)]
+                              .parent;
+    }
   }
 
   // global_c: product of c along the path from the root.
@@ -221,11 +237,8 @@ MachineId MachineTree::child(MachineId id, int nth) const {
   return MachineId{id.level - 1, n.children[static_cast<std::size_t>(nth)]};
 }
 
-MachineId MachineTree::processor(int pid) const {
-  if (pid < 0 || pid >= num_processors()) {
-    throw std::out_of_range{"processor: bad pid " + std::to_string(pid)};
-  }
-  return processors_[static_cast<std::size_t>(pid)];
+void MachineTree::throw_bad_pid(int pid) {
+  throw std::out_of_range{"processor: bad pid " + std::to_string(pid)};
 }
 
 std::pair<int, int> MachineTree::processor_range(MachineId id) const {
@@ -243,34 +256,31 @@ int MachineTree::slowest_pid(MachineId id) const {
 }
 
 int MachineTree::lca_level(int pid_a, int pid_b) const {
-  if (pid_a == pid_b) return processor(pid_a).level;
-  MachineId a = processor(pid_a);
-  MachineId b = processor(pid_b);
-  while (!(a == b)) {
-    if (a.level <= b.level) {
-      const auto pa = parent(a);
-      if (!pa) break;
-      a = *pa;
-    } else {
-      const auto pb = parent(b);
-      if (!pb) break;
-      b = *pb;
-    }
-  }
-  return a.level;
+  const std::size_t a = pid_slot(pid_a);
+  const std::size_t b = pid_slot(pid_b);
+  int level = std::max(processors_[a].id.level, processors_[b].id.level);
+  if (a == b) return level;
+  // Distinct processors are never each other's ancestors, so their rows
+  // differ at the higher one's level and agree from the LCA up (the root's
+  // index is 0 in every row).
+  const auto levels = static_cast<std::size_t>(num_levels());
+  const int* up_a = ancestors_.data() + a * levels;
+  const int* up_b = ancestors_.data() + b * levels;
+  while (up_a[level] != up_b[level]) ++level;
+  return level;
 }
 
 MachineId MachineTree::ancestor_at(int pid, int level) const {
-  MachineId id = processor(pid);
-  if (level < id.level) {
+  const std::size_t slot = pid_slot(pid);
+  if (level < processors_[slot].id.level) {
     throw std::invalid_argument{"ancestor_at: processor sits above level"};
   }
-  while (id.level < level) {
-    const auto p = parent(id);
-    if (!p) throw std::invalid_argument{"ancestor_at: level above the root"};
-    id = *p;
+  if (level > height()) {
+    throw std::invalid_argument{"ancestor_at: level above the root"};
   }
-  return id;
+  return MachineId{level,
+                   ancestors_[slot * static_cast<std::size_t>(num_levels()) +
+                              static_cast<std::size_t>(level)]};
 }
 
 std::vector<MachineId> MachineTree::level_ids(int level) const {

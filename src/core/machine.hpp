@@ -47,9 +47,12 @@ struct MachineSpec {
 
 /// Immutable HBSP^k machine tree with precomputed processor/topology queries.
 ///
-/// Construction validates the model invariants (see `Builder::build`). All
-/// query methods are O(1) unless noted; the tree is laid out level-major so a
-/// node is addressed exactly as the paper addresses it, by (level, index).
+/// Construction validates the model invariants (see `build`). Query methods
+/// are O(1) unless noted; the tree is laid out level-major so a node is
+/// addressed exactly as the paper addresses it, by (level, index). The
+/// per-processor queries (r, compute_r, ancestors, LCA level) read flat
+/// tables filled once by `build`, so pricing and simulating a message never
+/// walks the tree.
 class MachineTree {
  public:
   /// One node of the tree after validation/derivation.
@@ -117,11 +120,17 @@ class MachineTree {
   [[nodiscard]] int num_processors() const noexcept { return static_cast<int>(processors_.size()); }
 
   /// The tree node of processor `pid`.
-  [[nodiscard]] MachineId processor(int pid) const;
+  [[nodiscard]] MachineId processor(int pid) const {
+    return processors_[pid_slot(pid)].id;
+  }
 
   /// r of processor `pid` (shorthand used heavily by the simulator).
-  [[nodiscard]] double processor_r(int pid) const { return node(processor(pid)).r; }
-  [[nodiscard]] double processor_compute_r(int pid) const { return node(processor(pid)).compute_r; }
+  [[nodiscard]] double processor_r(int pid) const {
+    return processors_[pid_slot(pid)].r;
+  }
+  [[nodiscard]] double processor_compute_r(int pid) const {
+    return processors_[pid_slot(pid)].compute_r;
+  }
 
   /// Processors of the subtree rooted at `id` as the contiguous pid range
   /// [first, last).
@@ -132,17 +141,24 @@ class MachineTree {
   [[nodiscard]] int coordinator_pid(MachineId id) const { return node(id).coordinator_pid; }
 
   /// The slowest processor in `id`'s subtree (highest r, ties by lowest pid).
+  /// O(processors in the subtree).
   [[nodiscard]] int slowest_pid(MachineId id) const;
 
   /// Level of the lowest common ancestor of two processors: the network level
   /// a message between them must cross (1 = same cluster, ..., k = top).
-  /// Returns 0 when a == b. O(k).
+  /// When a == b, returns that processor's own level (0 for a leaf, 1 for
+  /// Fig. 1's bare SGI workstation). Compares the two processors' rows of the
+  /// ancestor table: at most k + 1 reads, no parent walk. Throws
+  /// std::out_of_range for a bad pid.
   [[nodiscard]] int lca_level(int pid_a, int pid_b) const;
 
-  /// The ancestor of processor `pid` at `level` (the cluster containing it).
+  /// The ancestor of processor `pid` at `level` (the cluster containing it;
+  /// the processor itself at its own level). Throws std::out_of_range for a
+  /// bad pid and std::invalid_argument when `level` is below the processor
+  /// or above the root.
   [[nodiscard]] MachineId ancestor_at(int pid, int level) const;
 
-  /// All machine ids on one level, in index order.
+  /// All machine ids on one level, in index order. O(m_i).
   [[nodiscard]] std::vector<MachineId> level_ids(int level) const;
 
   /// Stable structural fingerprint of the machine: a pure function of g and
@@ -157,12 +173,28 @@ class MachineTree {
 
  private:
   MachineTree() = default;
-  [[nodiscard]] Node& mutable_node(MachineId id);
+
+  /// `pid` as an index into the per-processor tables; throws
+  /// std::out_of_range unless 0 <= pid < num_processors().
+  [[nodiscard]] std::size_t pid_slot(int pid) const {
+    if (pid < 0 || pid >= num_processors()) throw_bad_pid(pid);
+    return static_cast<std::size_t>(pid);
+  }
+  [[noreturn]] static void throw_bad_pid(int pid);
 
   double g_ = 1.0;
   std::uint64_t fingerprint_ = 0;          ///< structural hash, set by build()
   std::vector<std::vector<Node>> levels_;  ///< levels_[i][j] == M_{i,j}
-  std::vector<MachineId> processors_;      ///< pid -> node id
+  /// What the per-message queries read of one processor, by pid.
+  struct ProcessorRow {
+    MachineId id;  ///< the processor's tree node
+    double r = 1.0;
+    double compute_r = 1.0;
+  };
+  std::vector<ProcessorRow> processors_;
+  /// Row `pid` (num_levels() entries) holds the index of the processor's
+  /// ancestor at each level; -1 below the processor's own level.
+  std::vector<int> ancestors_;
 };
 
 }  // namespace hbsp

@@ -1,6 +1,8 @@
 #include "core/schedule.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/hash.hpp"
 
@@ -94,8 +96,13 @@ void validate_schedule(const MachineTree& tree, const CommSchedule& schedule) {
                                   " out of range"};
     }
   };
+  // claimed[pid] is 1 + the ordinal of the last phase whose scopes cover
+  // pid, so a plan overlaps an earlier one in its phase exactly when it
+  // finds one of its processors already stamped: O(p) per phase.
+  std::vector<std::size_t> claimed(static_cast<std::size_t>(p), 0);
+  std::size_t stamp = 0;
   for (const auto& phase : schedule.phases) {
-    std::vector<std::pair<int, int>> scopes;
+    ++stamp;
     for (const auto& plan : phase.plans) {
       if (plan.level < 1 && tree.height() > 0) {
         throw std::invalid_argument{"schedule '" + schedule.name + "', step '" +
@@ -103,14 +110,15 @@ void validate_schedule(const MachineTree& tree, const CommSchedule& schedule) {
                                     std::to_string(plan.level)};
       }
       const auto [first, last] = tree.processor_range(plan.sync_scope);
-      for (const auto& [begin, end] : scopes) {
-        if (first < end && begin < last) {
+      for (int pid = first; pid < last; ++pid) {
+        std::size_t& owner = claimed[static_cast<std::size_t>(pid)];
+        if (owner == stamp) {
           throw std::invalid_argument{
               "schedule '" + schedule.name + "', step '" + plan.label +
               "': sync scopes within a phase must be disjoint"};
         }
+        owner = stamp;
       }
-      scopes.emplace_back(first, last);
       for (const auto& t : plan.transfers) {
         check_pid(t.src_pid, plan.label);
         check_pid(t.dst_pid, plan.label);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -216,6 +217,41 @@ void ClusterSim::flush_metrics() {
   tally_.events_seen = events;
 }
 
+void ClusterSim::order_arrivals(int first, int last) {
+  drain_.clear();
+  if (arrivals_.empty()) return;
+  const auto width = static_cast<std::size_t>(last - first);
+  bucket_end_.assign(width + 1, 0);
+  for (const Arrival& a : arrivals_) {
+    if (a.dst < first || a.dst >= last) {
+      throw std::logic_error{"execute_plan: transfer to pid " +
+                             std::to_string(a.dst) +
+                             " leaves the synchronised scope"};
+    }
+    ++bucket_end_[static_cast<std::size_t>(a.dst - first) + 1];
+  }
+  for (std::size_t i = 1; i <= width; ++i) bucket_end_[i] += bucket_end_[i - 1];
+  // bucket_end_[i] is now receiver i's first slot; placing advances it to
+  // the bucket's end, so the buckets are [end of i - 1, end of i).
+  drain_.resize(arrivals_.size());
+  for (const Arrival& a : arrivals_) {
+    drain_[bucket_end_[static_cast<std::size_t>(a.dst - first)]++] = a;
+  }
+  arrivals_.clear();
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    const std::size_t end = bucket_end_[i];
+    if (end - begin > 1) {
+      std::sort(drain_.begin() + static_cast<std::ptrdiff_t>(begin),
+                drain_.begin() + static_cast<std::ptrdiff_t>(end),
+                [](const Arrival& x, const Arrival& y) {
+                  return x.time != y.time ? x.time < y.time : x.seq < y.seq;
+                });
+    }
+    begin = end;
+  }
+}
+
 PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
   ++plan_counter_;
   ++tally_.plans;
@@ -302,14 +338,13 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
   }
   const double compute_end = tracing ? scope_clock_max() : 0.0;
 
-  // 2. Sends, serialised per sender in issue order. Arrivals land in the
-  //    pooled heap keyed (dst, time, issue sequence) for determinism; the
-  //    per-network shared-medium occupancy accumulates into the dense
-  //    net_busy_ scratch (both reused across plans, no allocation on the
-  //    steady state). Under faults a lost attempt is re-sent after an
-  //    exponential-backoff timeout; every attempt re-pays the sender
-  //    overhead and the wire occupancy of each crossed network, so
-  //    resilience is never free.
+  // 2. Sends, serialised per sender in issue order. Arrivals append to the
+  //    pooled arrivals_ list in issue order; the per-network shared-medium
+  //    occupancy accumulates into the dense net_busy_ scratch (both reused
+  //    across plans, no allocation on the steady state). Under faults a lost
+  //    attempt is re-sent after an exponential-backoff timeout; every
+  //    attempt re-pays the sender overhead and the wire occupancy of each
+  //    crossed network, so resilience is never free.
   double plan_wire_seconds = 0.0;
   std::size_t seq = 0;
   for (const auto& t : plan.transfers) {
@@ -378,7 +413,7 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
       if (!lost) {
         trace_.record(arrival, EventKind::kArrival, t.dst_pid, t.src_pid,
                       t.items, plan.label);
-        arrivals_.push({t.dst_pid, arrival, seq, t.src_pid, t.items, lambda});
+        arrivals_.push_back({arrival, seq, t.dst_pid});
         ++tally_.messages_delivered;
         break;
       }
@@ -409,36 +444,39 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
           static_cast<std::int64_t>(tally_.messages_lost - lost_before)}});
   }
 
-  // 3. Receives: popping the (dst, time, seq)-keyed heap visits receivers in
-  //    pid order and each receiver's messages in arrival order — the same
-  //    sequence the per-receiver sorted queues produced — after each has
-  //    finished its own compute and sends.
-  while (!arrivals_.empty()) {
-    const Arrival a = arrivals_.pop();
-    const auto slot = static_cast<std::size_t>(a.dst);
+  // 3. Receives: receivers in pid order, each draining its messages in
+  //    (arrival time, issue seq) order after finishing its own compute and
+  //    sends.
+  order_arrivals(first, last);
+  for (const Arrival& a : drain_) {
+    const Transfer& t = plan.transfers[a.seq - 1];
+    const auto slot = static_cast<std::size_t>(t.dst_pid);
     const double start = std::max(clock_[slot], a.time);
-    if (dead_at(a.dst, start)) {
+    if (dead_at(t.dst_pid, start)) {
       // The receiver died between the wire and the drain: the payload is
       // lost with the machine.
       ++fault_stats_.messages_lost;
       ++tally_.messages_lost;
-      trace_.record(start, EventKind::kMessageLost, a.dst, a.src, a.items,
-                    plan.label);
+      trace_.record(start, EventKind::kMessageLost, t.dst_pid, t.src_pid,
+                    t.items, plan.label);
       continue;
     }
-    const double r = tree_->processor_r(a.dst);
-    const double recv_slow = fault_slow(a.dst, start);
+    const double r = tree_->processor_r(t.dst_pid);
+    const double lambda =
+        destination_costs_ ? destination_costs_->factor(t.src_pid, t.dst_pid)
+                           : 1.0;
+    const double recv_slow = fault_slow(t.dst_pid, start);
     if (recv_slow != 1.0) ++tally_.slowdown_hits;
     const double busy =
-        (params_.o_recv * r + params_.recv_ratio * tree_->g() * r * a.lambda *
-                                  static_cast<double>(a.items)) *
-        load_factor(a.dst) * recv_slow;
-    trace_.record(start, EventKind::kRecvStart, a.dst, a.src, a.items,
+        (params_.o_recv * r + params_.recv_ratio * tree_->g() * r * lambda *
+                                  static_cast<double>(t.items)) *
+        load_factor(t.dst_pid) * recv_slow;
+    trace_.record(start, EventKind::kRecvStart, t.dst_pid, t.src_pid, t.items,
                   plan.label);
     clock_[slot] = start + busy;
-    trace_.note_recv(a.dst, a.items, busy);
-    trace_.record(clock_[slot], EventKind::kRecvEnd, a.dst, a.src, a.items,
-                  plan.label);
+    trace_.note_recv(t.dst_pid, t.items, busy);
+    trace_.record(clock_[slot], EventKind::kRecvEnd, t.dst_pid, t.src_pid,
+                  t.items, plan.label);
   }
   if (tracing) {
     recorder.record_span(

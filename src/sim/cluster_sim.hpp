@@ -35,7 +35,6 @@
 #include "core/machine.hpp"
 #include "core/schedule.hpp"
 #include "faults/injector.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/sim_params.hpp"
 #include "sim/trace.hpp"
@@ -154,25 +153,23 @@ class ClusterSim {
  private:
   PlanTiming execute_plan(const SuperstepPlan& plan);
 
-  /// One delivered (or pending) message in flight to a receiver. Keyed
-  /// (dst, time, issue seq): popping the arrival heap in that order is
-  /// exactly the old per-receiver drain — receivers in pid order, each
-  /// receiver's messages in (arrival time, issue order). seq is unique per
-  /// transfer within a plan, so the order is strict and the heap's pop
-  /// sequence is push-order independent.
+  /// One delivered message waiting for its receiver; its sender, size and
+  /// §6 weight are read back from the plan's transfer at the drain. The
+  /// drain visits receivers in pid order and each receiver's messages in
+  /// (arrival time, issue seq) order; seq is unique per transfer within a
+  /// plan, so that order is strict and does not depend on how the drain is
+  /// computed.
   struct Arrival {
-    int dst;
     double time;
-    std::size_t seq;
-    int src;
-    std::size_t items;
-    double lambda;  ///< §6 destination-cost weight of this message
-    bool operator<(const Arrival& other) const {
-      if (dst != other.dst) return dst < other.dst;
-      if (time != other.time) return time < other.time;
-      return seq < other.seq;
-    }
+    std::size_t seq;  ///< 1-based position of the transfer in its plan
+    int dst;
   };
+
+  /// Reorders `arrivals_` into `drain_` in the order above: a stable
+  /// counting pass buckets arrivals by receiver over the scope [first,
+  /// last), then each bucket is sorted by (time, seq). O(scope + arrivals
+  /// log arrivals per receiver).
+  void order_arrivals(int first, int last);
 
   /// Instrumentation accumulated while executing plans, flushed into
   /// obs::Registry::global() once per phase (the `sim.*` counter family).
@@ -227,8 +224,12 @@ class ClusterSim {
   FaultStats fault_stats_;
   MetricsTally tally_;
   RunMetrics run_metrics_;
-  /// Reused across plans (capacity survives); always drained empty.
-  EventQueue<Arrival> arrivals_;
+  /// Per-plan arrival scratch, reused across plans (capacity survives):
+  /// arrivals in issue order, the same reordered for the drain, and the
+  /// per-receiver bucket bounds over the plan's scope.
+  std::vector<Arrival> arrivals_;
+  std::vector<Arrival> drain_;
+  std::vector<std::size_t> bucket_end_;
   /// Dense per-network wire occupancy of the current plan, indexed by
   /// Network::slot; `net_touched_` lists the slots to reset afterwards.
   std::vector<double> net_busy_;

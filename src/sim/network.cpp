@@ -6,8 +6,20 @@
 namespace hbsp::sim {
 
 Network::Network(const MachineTree& tree, const SimParams& params)
-    : tree_(&tree), params_(&params) {
-  level_offsets_.reserve(static_cast<std::size_t>(tree.num_levels()) + 1);
+    : tree_(&tree) {
+  const auto levels = static_cast<std::size_t>(tree.num_levels());
+  latency_.assign(levels, 0.0);
+  wire_per_item_.assign(levels, 0.0);
+  for (int level = 1; level < tree.num_levels(); ++level) {
+    const auto at = static_cast<std::size_t>(level);
+    latency_[at] =
+        params.latency_base * std::pow(params.latency_level_scale, level - 1);
+    if (params.model_wire_contention) {
+      wire_per_item_[at] = tree.g() * params.wire_factor_base *
+                           std::pow(params.wire_level_scale, level - 1);
+    }
+  }
+  level_offsets_.reserve(levels + 1);
   std::size_t total = 0;
   for (int level = 0; level < tree.num_levels(); ++level) {
     level_offsets_.push_back(total);
@@ -19,14 +31,17 @@ Network::Network(const MachineTree& tree, const SimParams& params)
 
 double Network::latency(int lca_level) const {
   if (lca_level < 1) return 0.0;
-  return params_->latency_base *
-         std::pow(params_->latency_level_scale, lca_level - 1);
+  if (lca_level > tree_->height()) {
+    throw std::out_of_range{"Network::latency: level above the root"};
+  }
+  return latency_[static_cast<std::size_t>(lca_level)];
 }
 
 double Network::wire_per_item(int level) const {
-  if (!params_->model_wire_contention) return 0.0;
-  return tree_->g() * params_->wire_factor_base *
-         std::pow(params_->wire_level_scale, level - 1);
+  if (level < 1 || level > tree_->height()) {
+    throw std::out_of_range{"Network::wire_per_item: bad level"};
+  }
+  return wire_per_item_[static_cast<std::size_t>(level)];
 }
 
 void Network::route(int src_pid, int dst_pid, std::vector<MachineId>& out) const {

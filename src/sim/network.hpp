@@ -18,12 +18,16 @@ namespace hbsp::sim {
 
 class Network {
  public:
+  /// Derives every per-level rate from `params` here; neither `params` nor
+  /// anything in it is referenced afterwards.
   Network(const MachineTree& tree, const SimParams& params);
 
-  /// One-way message latency given the endpoints' LCA level (>= 1).
+  /// One-way message latency given the endpoints' LCA level; 0 below level
+  /// 1. Throws std::out_of_range above the root.
   [[nodiscard]] double latency(int lca_level) const;
 
   /// Shared-medium seconds one item occupies a level-`level` network.
+  /// Throws std::out_of_range unless 1 <= level <= height.
   [[nodiscard]] double wire_per_item(int level) const;
 
   /// Appends the interior nodes whose networks a src->dst message crosses.
@@ -43,7 +47,8 @@ class Network {
 
  private:
   const MachineTree* tree_;
-  const SimParams* params_;
+  std::vector<double> latency_;        ///< [level], levels 1..k; [0] unused
+  std::vector<double> wire_per_item_;  ///< [level], levels 1..k; [0] unused
   std::vector<std::size_t> level_offsets_;  ///< flat indexing of (level, index)
   std::vector<NetworkStats> stats_;
 };

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "core/dest_costs.hpp"
 #include "core/topology.hpp"
+#include "util/rng.hpp"
 
 namespace hbsp {
 namespace {
@@ -111,6 +118,83 @@ TEST(CostModel, ScheduleSumsPhasesAndPhasesTakeMax) {
   EXPECT_DOUBLE_EQ(cost.phases[0].total(), std::max(smp_total, lan_total));
   EXPECT_DOUBLE_EQ(cost.total(), cost.phases[0].total());
   EXPECT_GT(lan_total, smp_total);  // LAN: slower sender and bigger barrier
+}
+
+/// The h-relation computed the obvious way, with an ordered map of
+/// per-processor volumes, as the reference the model must match bit for bit.
+double reference_h_relation(const MachineTree& tree, const SuperstepPlan& step,
+                            const DestinationCosts* costs) {
+  std::map<int, std::pair<double, double>> traffic;  // pid -> {out, in}
+  for (const auto& t : step.transfers) {
+    if (t.src_pid == t.dst_pid) continue;
+    const double weight =
+        costs != nullptr ? costs->factor(t.src_pid, t.dst_pid) : 1.0;
+    const double volume = weight * static_cast<double>(t.items);
+    traffic[t.src_pid].first += volume;
+    traffic[t.dst_pid].second += volume;
+  }
+  double h = 0.0;
+  for (const auto& [pid, volumes] : traffic) {
+    h = std::max(h, tree.processor_r(pid) *
+                        std::max(volumes.first, volumes.second));
+  }
+  return h;
+}
+
+/// A random superstep over a random pid window of `tree`: self-sends,
+/// zero-item transfers and repeated endpoints in no particular order.
+SuperstepPlan random_step(const MachineTree& tree, util::Rng& rng) {
+  const auto p = static_cast<std::uint64_t>(tree.num_processors());
+  const auto lo = static_cast<int>(rng.uniform_u64(0, p - 1));
+  const auto hi = static_cast<int>(
+      rng.uniform_u64(static_cast<std::uint64_t>(lo), p - 1));
+  const auto draw_pid = [&] {
+    return static_cast<int>(rng.uniform_u64(static_cast<std::uint64_t>(lo),
+                                            static_cast<std::uint64_t>(hi)));
+  };
+  SuperstepPlan step;
+  step.sync_scope = tree.root();
+  const auto transfers = rng.uniform_u64(0, 40);
+  for (std::uint64_t i = 0; i < transfers; ++i) {
+    const int src = draw_pid();
+    const int dst = rng.uniform01() < 0.15 ? src : draw_pid();
+    const std::size_t items =
+        rng.uniform01() < 0.15 ? 0 : rng.uniform_u64(1, 5000);
+    step.transfers.push_back({src, dst, items});
+  }
+  return step;
+}
+
+TEST(CostModel, HRelationMatchesOrderedMapReference) {
+  RandomTreeOptions options;
+  options.max_fanout = 5;
+  std::vector<MachineTree> trees;
+  trees.push_back(make_figure1_cluster(kG));
+  trees.push_back(make_hbsp1_cluster(std::array{1.0, 2.0, 4.0}, kG, kL));
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    options.levels = 1 + static_cast<int>(seed % 3);
+    trees.push_back(make_random_tree(options, 40 + seed));
+  }
+  util::Rng rng{2001};
+  for (const MachineTree& tree : trees) {
+    std::vector<double> factors;
+    for (int level = 1; level <= tree.height(); ++level) {
+      factors.push_back(level == 1 ? 1.0 : factors.back() * 1.7);
+    }
+    const DestinationCosts by_level = DestinationCosts::by_level(tree, factors);
+    CostModel base{tree};
+    CostModel weighted{tree};
+    weighted.set_destination_costs(&by_level);
+    for (int trial = 0; trial < 200; ++trial) {
+      const SuperstepPlan step = random_step(tree, rng);
+      const double plain = reference_h_relation(tree, step, nullptr);
+      const double lambda = reference_h_relation(tree, step, &by_level);
+      EXPECT_EQ(base.h_relation(step), plain) << "trial " << trial;
+      EXPECT_EQ(base.cost(step).h, plain) << "trial " << trial;
+      EXPECT_EQ(weighted.h_relation(step), lambda) << "trial " << trial;
+      EXPECT_EQ(weighted.cost(step).h, lambda) << "trial " << trial;
+    }
+  }
 }
 
 TEST(CostModel, EmptySchedule) {

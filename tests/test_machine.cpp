@@ -269,5 +269,98 @@ TEST_P(RandomTreeProperty, InvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTreeProperty,
                          ::testing::Range<std::uint64_t>(0, 24));
 
+// --- per-processor topology queries against a parent() walk ----------------
+
+/// The ancestor of `pid` at `level`, found by following parent() links.
+MachineId walk_ancestor(const MachineTree& tree, int pid, int level) {
+  MachineId id = tree.processor(pid);
+  while (id.level < level) id = *tree.parent(id);
+  return id;
+}
+
+/// Level of the lowest common ancestor, found by climbing the lower of the
+/// two nodes until they meet.
+int walk_lca_level(const MachineTree& tree, int a, int b) {
+  MachineId x = tree.processor(a);
+  MachineId y = tree.processor(b);
+  while (!(x == y)) {
+    if (x.level <= y.level) {
+      x = *tree.parent(x);
+    } else {
+      y = *tree.parent(y);
+    }
+  }
+  return x.level;
+}
+
+void expect_queries_match_walk(const MachineTree& tree) {
+  const int p = tree.num_processors();
+  for (int pid = 0; pid < p; ++pid) {
+    const MachineTree::Node& leaf = tree.node(tree.processor(pid));
+    EXPECT_EQ(tree.processor_r(pid), leaf.r) << "pid " << pid;
+    EXPECT_EQ(tree.processor_compute_r(pid), leaf.compute_r) << "pid " << pid;
+    const int own = tree.processor(pid).level;
+    for (int level = own; level <= tree.height(); ++level) {
+      EXPECT_EQ(tree.ancestor_at(pid, level), walk_ancestor(tree, pid, level))
+          << "pid " << pid << " level " << level;
+    }
+    EXPECT_THROW((void)tree.ancestor_at(pid, own - 1), std::invalid_argument);
+    EXPECT_THROW((void)tree.ancestor_at(pid, tree.height() + 1),
+                 std::invalid_argument);
+    for (int other = 0; other < p; ++other) {
+      EXPECT_EQ(tree.lca_level(pid, other), walk_lca_level(tree, pid, other))
+          << "pids " << pid << ", " << other;
+    }
+  }
+  for (const int bad : {-1, p, p + 7}) {
+    EXPECT_THROW((void)tree.processor_r(bad), std::out_of_range);
+    EXPECT_THROW((void)tree.processor_compute_r(bad), std::out_of_range);
+    EXPECT_THROW((void)tree.ancestor_at(bad, tree.height()), std::out_of_range);
+    EXPECT_THROW((void)tree.lca_level(bad, 0), std::out_of_range);
+    EXPECT_THROW((void)tree.lca_level(0, bad), std::out_of_range);
+    EXPECT_THROW((void)tree.lca_level(bad, bad), std::out_of_range);
+  }
+}
+
+TEST(MachineTreeQueries, Figure1MatchesParentWalk) {
+  expect_queries_match_walk(make_figure1_cluster());
+}
+
+TEST(MachineTreeQueries, SeparateComputeSlownessMatchesParentWalk) {
+  MachineSpec lab;
+  lab.sync_L = 1e-3;
+  auto fast = leaf("fast", 1.0);
+  fast.compute_r = 3.0;  // quick network card, slow CPU
+  lab.children.push_back(fast);
+  lab.children.push_back(leaf("plain", 2.0));
+  auto server = leaf("server", 1.5);
+  server.compute_r = 1.25;
+  MachineSpec root;
+  root.sync_L = 1e-2;
+  root.children.push_back(lab);
+  root.children.push_back(server);
+  const MachineTree tree = MachineTree::build(root, 1e-6);
+  EXPECT_EQ(tree.processor_compute_r(0), 3.0);
+  EXPECT_EQ(tree.processor_compute_r(2), 1.25);
+  expect_queries_match_walk(tree);
+}
+
+TEST(MachineTreeQueries, RandomTreesWithChildlessInteriorNodes) {
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    RandomTreeOptions options;
+    options.levels = 2 + static_cast<int>(seed % 3);
+    options.max_fanout = 5;
+    options.leaf_degenerate_probability = 0.35;
+    const MachineTree tree = make_random_tree(options, 900 + seed);
+    int raised = 0;
+    for (int pid = 0; pid < tree.num_processors(); ++pid) {
+      raised += tree.processor(pid).level > 0 ? 1 : 0;
+    }
+    ASSERT_GT(raised, 0) << "seed " << seed << ": no childless interior node";
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_queries_match_walk(tree);
+  }
+}
+
 }  // namespace
 }  // namespace hbsp

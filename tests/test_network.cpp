@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/topology.hpp"
 
 namespace hbsp::sim {
@@ -71,6 +73,20 @@ TEST(NetworkLatency, ScalesByLevel) {
   EXPECT_DOUBLE_EQ(network.latency(1), 2e-4);
   EXPECT_DOUBLE_EQ(network.latency(2), 2e-3);
   EXPECT_DOUBLE_EQ(network.latency(3), 2e-2);
+  EXPECT_THROW((void)network.latency(4), std::out_of_range);
+}
+
+TEST(NetworkLatency, OutlivesTheParamsItWasBuiltFrom) {
+  // The per-level rates are derived at construction, so a Network (and a
+  // copied or moved ClusterSim holding one) never reads its params again.
+  const MachineTree tree = make_wide_area_grid();
+  auto params = std::make_unique<SimParams>();
+  params->latency_base = 2e-4;
+  params->wire_factor_base = 0.5;
+  const Network network{tree, *params};
+  params.reset();
+  EXPECT_DOUBLE_EQ(network.latency(2), 2e-3);
+  EXPECT_DOUBLE_EQ(network.wire_per_item(1), tree.g() * 0.5);
 }
 
 TEST(NetworkWire, RateScalesByLevelAndCanBeDisabled) {
@@ -83,6 +99,8 @@ TEST(NetworkWire, RateScalesByLevelAndCanBeDisabled) {
     EXPECT_DOUBLE_EQ(network.wire_per_item(1), tree.g() * 0.5);
     EXPECT_DOUBLE_EQ(network.wire_per_item(2), tree.g() * 2.0);
     EXPECT_DOUBLE_EQ(network.wire_per_item(3), tree.g() * 8.0);
+    EXPECT_THROW((void)network.wire_per_item(0), std::out_of_range);
+    EXPECT_THROW((void)network.wire_per_item(4), std::out_of_range);
   }
   params.model_wire_contention = false;
   {

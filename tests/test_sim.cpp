@@ -6,13 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
-#include <tuple>
 #include <vector>
 
 #include "collectives/planners.hpp"
 #include "core/topology.hpp"
-#include "sim/event_queue.hpp"
 
 namespace hbsp::sim {
 namespace {
@@ -105,6 +102,33 @@ TEST(ClusterSim, ReceiverQueuesWhenArrivalsCluster) {
   const SimResult result = sim.run(
       single_step(tree, {{1, 0, 1000}, {2, 0, 1000}, {3, 0, 1000}}));
   EXPECT_NEAR(result.makespan, 1e-3 + 3 * 0.5e-3 + kL, 1e-12);
+}
+
+TEST(ClusterSim, ReceiverDrainsByArrivalTimeThenIssueOrder) {
+  const MachineTree tree =
+      make_hbsp1_cluster(std::array{1.0, 1.0, 1.0, 1.0, 1.0}, kG, kL);
+  ClusterSim sim{tree, bare_params(), /*record_events=*/true};
+  // Issue order P1, P2, P3, P4, all to P0. Send ends (= arrivals, no
+  // latency): P1 at 3ms, P2 at 2ms, P3 and P4 both at 1ms. P0 must drain
+  // by arrival time, the reverse of issue order, and break the P3/P4 tie
+  // by issue order.
+  (void)sim.run(single_step(
+      tree, {{1, 0, 3000}, {2, 0, 2000}, {3, 0, 1000}, {4, 0, 1000}}));
+  std::vector<int> peers;
+  std::vector<double> starts;
+  for (const TraceEvent& e : sim.trace().events()) {
+    if (e.kind != EventKind::kRecvStart) continue;
+    EXPECT_EQ(e.pid, 0);
+    peers.push_back(e.peer);
+    starts.push_back(e.time);
+  }
+  EXPECT_EQ(peers, (std::vector<int>{3, 4, 2, 1}));
+  ASSERT_EQ(starts.size(), 4u);
+  // Drains take 0.5·items·g: P4's waits for P3's, the later ones do not.
+  EXPECT_NEAR(starts[0], 1e-3, 1e-12);
+  EXPECT_NEAR(starts[1], 1.5e-3, 1e-12);
+  EXPECT_NEAR(starts[2], 2e-3, 1e-12);
+  EXPECT_NEAR(starts[3], 3e-3, 1e-12);
 }
 
 TEST(ClusterSim, ComputeChargesAtComputeRate) {
@@ -262,46 +286,11 @@ TEST(ClusterSim, HigherLevelLatencyScales) {
   EXPECT_DOUBLE_EQ(network.latency(0), 0.0);
 }
 
-TEST(EventQueue, PopsInKeyOrderForEveryPushOrder) {
-  // The hot-path heap replaced an ordered map; the determinism contract is
-  // that the pop sequence is the sorted key order no matter how pushes were
-  // interleaved. Exhaust every permutation of a key set with duplicates on
-  // the primary component (distinct seq keeps the order strict, as Arrival
-  // does).
-  struct Item {
-    int key;
-    int seq;
-    bool operator<(const Item& other) const {
-      return std::tie(key, seq) < std::tie(other.key, other.seq);
-    }
-    bool operator==(const Item& other) const {
-      return key == other.key && seq == other.seq;
-    }
-  };
-  const std::vector<Item> items = {{3, 0}, {1, 1}, {2, 2},
-                                   {1, 0}, {3, 1}, {0, 0}};
-  std::vector<Item> expected = items;
-  std::sort(expected.begin(), expected.end());
-
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0u);
-  EventQueue<Item> queue;
-  do {
-    queue.clear();
-    for (const std::size_t i : order) queue.push(items[i]);
-    ASSERT_EQ(queue.size(), items.size());
-    std::vector<Item> popped;
-    while (!queue.empty()) popped.push_back(queue.pop());
-    ASSERT_EQ(popped, expected);
-  } while (std::next_permutation(order.begin(), order.end()));
-  EXPECT_TRUE(queue.empty());
-}
-
 TEST(ClusterSim, ReusedPooledStorageReplaysIdenticalEventTrace) {
   // Stress the pooled hot path: a simulator whose internal storage (arrival
-  // heap, touched-network list, trace buffers) has been warmed by prior runs
-  // of *different* schedules must replay a recorded trace exactly — same
-  // EventKind sequence, bit-identical virtual times.
+  // buckets, touched-network list, trace buffers) has been warmed by prior
+  // runs of *different* schedules must replay a recorded trace exactly —
+  // same EventKind sequence, bit-identical virtual times.
   const MachineTree tree = make_figure1_cluster();
   const SimParams params;  // full default mechanics
   const CommSchedule gather = coll::plan_gather(tree, 50000, {});
