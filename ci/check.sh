@@ -10,7 +10,8 @@
 #   CONFIG=ubsan ci/check.sh    # standalone strict UBSan (no recover)
 #   CONFIG=lint  ci/check.sh    # hbsp-lint + clang-tidy-vs-baseline, no tests
 #   CONFIG=svc   ci/check.sh    # serving-layer smoke: svc tests + load_gen
-#                               #   tally shard/thread-invariance
+#                               #   tally vs its golden at two shard/thread
+#                               #   shapes
 #   CONFIG=relperf ci/check.sh  # Release: perf_snapshot twice (process-level
 #                               #   counter determinism) + warm-cache timing
 #                               #   + perfbench/determinism.py
@@ -99,13 +100,15 @@ plain_leg() {
   python3 ci/validate_trace.py "${tmp}/trace1.json"
   echo "fig3a virtual trace byte-identical at 1 and 4 threads"
 
-  # Golden drift: regenerate every pinned CSV and trace JSON into a temp dir
-  # and diff against the committed files. A behaviour change that forgot to
-  # run ci/regen_goldens.sh (and review the new tables) fails here.
+  # Golden drift: regenerate every pinned CSV, trace JSON and load_gen tally
+  # into a temp dir and diff against the committed files. A behaviour change
+  # that forgot to run ci/regen_goldens.sh (and review the new tables) fails
+  # here.
   BUILD_DIR=build-ci OUT_DIR="${tmp}/golden" JOBS="${JOBS}" \
     ci/regen_goldens.sh >/dev/null
   local golden drift=0
-  for golden in tests/golden/*.csv tests/golden/*_trace.json; do
+  for golden in tests/golden/*.csv tests/golden/*_trace.json \
+    tests/golden/*.tally; do
     if ! diff -u "${golden}" "${tmp}/golden/$(basename "${golden}")"; then
       drift=1
     fi
@@ -119,9 +122,10 @@ plain_leg() {
 
 # Serving-layer smoke leg: builds the svc-labelled tests plus the load
 # generator, runs them, then drives one fixed-seed load_gen schedule at
-# (1 shard, 1 thread) and (8 shards, 4 threads) and requires the
-# deterministic tally blocks byte-identical — the ISSUE's shard-invariance
-# acceptance criterion, end to end on the real binary. The sanitizer legs
+# (1 shard, 1 thread) and (8 shards, 4 threads) and requires both
+# deterministic tally blocks byte-identical to tests/golden/load_gen.tally
+# (written by ci/regen_goldens.sh): shard/thread invariance, and response
+# content pinned, end to end on the real binary. The sanitizer legs
 # additionally run the same tests via their tier1 label.
 svc_leg() {
   run_suite build-ci-svc svc -DHBSPK_WERROR=ON
@@ -138,8 +142,9 @@ svc_leg() {
     --shards 1 --threads 1 --tally "${tmp}/s1.tally" >/dev/null
   "${gen}" --qps 200 --duration 0.5 --expired 0.1 --capacity 8 \
     --shards 8 --threads 4 --tally "${tmp}/s8.tally" >/dev/null
-  cmp "${tmp}/s1.tally" "${tmp}/s8.tally"
-  echo "load_gen tally byte-identical at (1 shard, 1 thread) vs (8 shards, 4 threads)"
+  cmp tests/golden/load_gen.tally "${tmp}/s1.tally"
+  cmp tests/golden/load_gen.tally "${tmp}/s8.tally"
+  echo "load_gen tally at (1 shard, 1 thread) and (8 shards, 4 threads) matches tests/golden/load_gen.tally"
 }
 
 # Release-mode scenario-throughput leg: runs the perf_snapshot basket twice

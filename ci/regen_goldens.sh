@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
-# Rebuilds every golden CSV under tests/golden/ in one command, so a
-# deliberate change to the simulator, the planners, or the seed-splitting
-# scheme updates all pins consistently (then review the diff and commit).
+# Rebuilds every golden under tests/golden/ (CSVs, trace JSON, the load_gen
+# tally) in one command, so a deliberate change to the simulator, the
+# planners, the service or the seed-splitting scheme updates all pins
+# consistently (then review the diff and commit).
 #
 #   ci/regen_goldens.sh             # build into ./build and regenerate
 #   BUILD_DIR=build-ci ci/regen_goldens.sh
 #   OUT_DIR=/tmp/goldens ci/regen_goldens.sh   # write elsewhere (drift check)
 #
-# Every golden is produced by the corresponding bench binary at --threads 8 —
-# the same tables at any thread count, which is the point of pinning them.
-# CI's golden-drift step regenerates into a temp OUT_DIR and diffs against
-# the committed files, so a behaviour change that forgot to re-pin fails.
+# Every sweep golden is produced by the corresponding bench binary at
+# --threads 8 — the same tables at any thread count, which is the point of
+# pinning them. CI's golden-drift step regenerates into a temp OUT_DIR and
+# diffs against the committed files, so a behaviour change that forgot to
+# re-pin fails; the svc leg compares its load_gen tallies with the pinned one.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,7 +25,7 @@ mkdir -p "${OUT_DIR}"
 
 cmake -B "${BUILD_DIR}" -S . >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-  --target fig3a_gather_root fig4a_bcast_root chaos_sweep >/dev/null
+  --target fig3a_gather_root fig4a_bcast_root chaos_sweep load_gen >/dev/null
 
 "${BUILD_DIR}/bench/fig3a_gather_root" --threads 8 \
   --csv "${OUT_DIR}/fig3a.csv" >/dev/null
@@ -47,6 +49,14 @@ echo "regenerated ${OUT_DIR}/fig4a_trace.json"
 "${BUILD_DIR}/bench/chaos_sweep" --threads 8 \
   --csv "${OUT_DIR}/chaos_sweep.csv" >/dev/null
 echo "regenerated ${OUT_DIR}/chaos_sweep.csv"
+
+# The service's response content: the deterministic tally (outcomes plus a
+# checksum of every completed response's content fingerprint) of the svc
+# leg's fixed-seed load_gen run. The same at any shard and thread count.
+"${BUILD_DIR}/bench/load_gen" --qps 200 --duration 0.5 --expired 0.1 \
+  --capacity 8 --shards 1 --threads 1 --tally "${OUT_DIR}/load_gen.tally" \
+  >/dev/null
+echo "regenerated ${OUT_DIR}/load_gen.tally"
 
 if [ "${OUT_DIR}" = "tests/golden" ]; then
   git --no-pager diff --stat -- tests/golden || true

@@ -54,6 +54,12 @@ std::uint64_t plan_request_fingerprint(const PlanRequest& request) noexcept {
   return hash.digest();
 }
 
+std::uint64_t CachedPlan::fingerprint() const {
+  std::call_once(stamp_.once,
+                 [this] { stamp_.value = schedule.fingerprint(); });
+  return stamp_.value;
+}
+
 PlanCache& PlanCache::global() {
   static PlanCache cache;
   return cache;

@@ -12,7 +12,9 @@
 // share an entry. That blocking discipline is what keeps the obs counters
 // deterministic — misses equal the number of *distinct* keys requested,
 // never a function of thread scheduling — so the perf gate can keep
-// exact-matching every counter across thread counts.
+// exact-matching every counter across thread counts. An entry also keeps
+// its schedule's fingerprint once first asked (CachedPlan::fingerprint),
+// which is what scenario lookups and svc response digests read.
 //
 // Determinism contract:
 //   - plancache.misses == callers that became the builder of a key (counted
@@ -25,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 
 #include "collectives/advisor.hpp"
@@ -64,6 +67,29 @@ struct PlanRequest {
 struct CachedPlan {
   CommSchedule schedule;
   double predicted_cost = 0.0;
+
+  /// schedule.fingerprint(), hashed on the first call and kept: every later
+  /// scenario lookup and response digest of this plan reads one word instead
+  /// of re-hashing every transfer. Lazy rather than stamped at build because
+  /// most plans are never simulated through the memo: the advisor prices
+  /// every candidate and keeps one, and hashing the rest would add to every
+  /// planning pass. Concurrent first callers hash once (std::call_once) and
+  /// all read the same value. The schedule must not change after the first
+  /// call; the cache hands plans out const, so a memoized one cannot.
+  [[nodiscard]] std::uint64_t fingerprint() const;
+
+ private:
+  /// A copy starts unstamped and hashes its own schedule on first use. The
+  /// memo moves each freshly built plan into its entry through this copy,
+  /// before anyone can call fingerprint().
+  struct Stamp {
+    Stamp() = default;
+    Stamp(const Stamp&) noexcept {}
+
+    std::once_flag once;
+    std::uint64_t value = 0;
+  };
+  mutable Stamp stamp_;
 };
 
 class PlanCache {

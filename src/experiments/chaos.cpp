@@ -131,9 +131,9 @@ ImprovementTable gather_root_experiment_with_faults(
         const auto plan_s =
             cached_plan(tree, CollectiveKind::kGather, cell.n, slow);
         const double t_f = simulate_makespan(
-            tree, plan_f->schedule, config.sim, &injector);
+            tree, *plan_f, config.sim, &injector);
         const double t_s = simulate_makespan(
-            tree, plan_s->schedule, config.sim, &injector);
+            tree, *plan_s, config.sim, &injector);
         return t_s / t_f;
       });
 }
@@ -154,9 +154,9 @@ ImprovementTable broadcast_root_experiment_with_faults(
         const auto plan_s =
             cached_plan(tree, CollectiveKind::kBroadcast, cell.n, slow);
         const double t_f = simulate_makespan(
-            tree, plan_f->schedule, config.sim, &injector);
+            tree, *plan_f, config.sim, &injector);
         const double t_s = simulate_makespan(
-            tree, plan_s->schedule, config.sim, &injector);
+            tree, *plan_s, config.sim, &injector);
         return t_s / t_f;
       });
 }
@@ -199,9 +199,9 @@ ChaosTable chaos_sweep(const ChaosConfig& config, SweepRunner& runner) {
     const auto gather_plan_f = cached_plan(tree, CollectiveKind::kGather, n, fast);
     const auto gather_plan_s = cached_plan(tree, CollectiveKind::kGather, n, slow);
     const double gather_f = simulate_makespan(
-        tree, gather_plan_f->schedule, config.sim, &injector);
+        tree, *gather_plan_f, config.sim, &injector);
     const double gather_s = simulate_makespan(
-        tree, gather_plan_s->schedule, config.sim, &injector);
+        tree, *gather_plan_s, config.sim, &injector);
     table.gather_factor[row][col] = gather_s / gather_f;
 
     const auto bcast_plan_f =
@@ -209,9 +209,9 @@ ChaosTable chaos_sweep(const ChaosConfig& config, SweepRunner& runner) {
     const auto bcast_plan_s =
         cached_plan(tree, CollectiveKind::kBroadcast, n, slow);
     const double bcast_f = simulate_makespan(
-        tree, bcast_plan_f->schedule, config.sim, &injector);
+        tree, *bcast_plan_f, config.sim, &injector);
     const double bcast_s = simulate_makespan(
-        tree, bcast_plan_s->schedule, config.sim, &injector);
+        tree, *bcast_plan_s, config.sim, &injector);
     table.broadcast_factor[row][col] = bcast_s / bcast_f;
   });
   // The chaos grid shards through the pool directly (two collectives per

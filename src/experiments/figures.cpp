@@ -60,6 +60,12 @@ double simulate_makespan(const MachineTree& tree, const CommSchedule& schedule,
   return ScenarioCache::global().makespan(tree, schedule, params, injector);
 }
 
+double simulate_makespan(const MachineTree& tree, const coll::CachedPlan& plan,
+                         const sim::SimParams& params,
+                         const faults::FaultInjector* injector) {
+  return ScenarioCache::global().makespan(tree, plan, params, injector);
+}
+
 MachineTree make_ranked_testbed(int p, const FigureConfig& config) {
   return make_ranked_testbed(p, config, config.noise);
 }
@@ -93,8 +99,8 @@ ImprovementTable gather_root_experiment(const FigureConfig& config,
     const int slow = tree.slowest_pid(tree.root());
     const auto plan_f = cached_gather(tree, cell.n, fast, Shares::kEqual);
     const auto plan_s = cached_gather(tree, cell.n, slow, Shares::kEqual);
-    const double t_f = simulate_makespan(tree, plan_f->schedule, config.sim);
-    const double t_s = simulate_makespan(tree, plan_s->schedule, config.sim);
+    const double t_f = simulate_makespan(tree, *plan_f, config.sim);
+    const double t_s = simulate_makespan(tree, *plan_s, config.sim);
     return t_s / t_f;
   });
 }
@@ -107,8 +113,8 @@ ImprovementTable gather_balance_experiment(const FigureConfig& config,
     const int fast = tree.coordinator_pid(tree.root());
     const auto plan_u = cached_gather(tree, cell.n, fast, Shares::kEqual);
     const auto plan_b = cached_gather(tree, cell.n, fast, Shares::kBalanced);
-    const double t_u = simulate_makespan(tree, plan_u->schedule, config.sim);
-    const double t_b = simulate_makespan(tree, plan_b->schedule, config.sim);
+    const double t_u = simulate_makespan(tree, *plan_u, config.sim);
+    const double t_b = simulate_makespan(tree, *plan_b, config.sim);
     return t_u / t_b;
   });
 }
@@ -121,8 +127,8 @@ ImprovementTable broadcast_root_experiment(const FigureConfig& config,
     const int slow = tree.slowest_pid(tree.root());
     const auto plan_f = cached_broadcast(tree, cell.n, fast, Shares::kEqual);
     const auto plan_s = cached_broadcast(tree, cell.n, slow, Shares::kEqual);
-    const double t_f = simulate_makespan(tree, plan_f->schedule, config.sim);
-    const double t_s = simulate_makespan(tree, plan_s->schedule, config.sim);
+    const double t_f = simulate_makespan(tree, *plan_f, config.sim);
+    const double t_s = simulate_makespan(tree, *plan_s, config.sim);
     return t_s / t_f;
   });
 }
@@ -135,8 +141,8 @@ ImprovementTable broadcast_balance_experiment(const FigureConfig& config,
     const int fast = tree.coordinator_pid(tree.root());
     const auto plan_u = cached_broadcast(tree, cell.n, fast, Shares::kEqual);
     const auto plan_b = cached_broadcast(tree, cell.n, fast, Shares::kBalanced);
-    const double t_u = simulate_makespan(tree, plan_u->schedule, config.sim);
-    const double t_b = simulate_makespan(tree, plan_b->schedule, config.sim);
+    const double t_u = simulate_makespan(tree, *plan_u, config.sim);
+    const double t_b = simulate_makespan(tree, *plan_b, config.sim);
     return t_u / t_b;
   });
 }

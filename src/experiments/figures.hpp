@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bytemark/ranking.hpp"
+#include "collectives/plan_cache.hpp"
 #include "core/machine.hpp"
 #include "core/schedule.hpp"
 #include "experiments/sweep.hpp"
@@ -56,6 +57,14 @@ struct FigureConfig {
 /// makespan and replay the identical sim.* registry contribution.
 [[nodiscard]] double simulate_makespan(
     const MachineTree& tree, const CommSchedule& schedule,
+    const sim::SimParams& params,
+    const faults::FaultInjector* injector = nullptr);
+
+/// The same for a memoized plan: keyed on plan.fingerprint(), so a repeat
+/// lookup does not re-hash the schedule. Shares its entry with the
+/// CommSchedule form called on plan.schedule.
+[[nodiscard]] double simulate_makespan(
+    const MachineTree& tree, const coll::CachedPlan& plan,
     const sim::SimParams& params,
     const faults::FaultInjector* injector = nullptr);
 

@@ -7,7 +7,7 @@ namespace hbsp::exp {
 namespace {
 
 ScenarioKey scenario_key(const MachineTree& tree,
-                         const CommSchedule& schedule,
+                         std::uint64_t schedule_fingerprint,
                          const sim::SimParams& params,
                          const faults::FaultInjector* injector) {
   util::Hash64 fault;
@@ -15,7 +15,7 @@ ScenarioKey scenario_key(const MachineTree& tree,
   fault.add(injector != nullptr ? injector->plan().fingerprint() : 0u);
   return ScenarioKey{
       .tree_fingerprint = tree.fingerprint(),
-      .schedule_fingerprint = schedule.fingerprint(),
+      .schedule_fingerprint = schedule_fingerprint,
       .params_fingerprint = params.fingerprint(),
       .fault_fingerprint = fault.digest(),
   };
@@ -32,10 +32,27 @@ double ScenarioCache::makespan(const MachineTree& tree,
                                const CommSchedule& schedule,
                                const sim::SimParams& params,
                                const faults::FaultInjector* injector) {
+  return keyed_makespan(tree, schedule, schedule.fingerprint(), params,
+                        injector);
+}
+
+double ScenarioCache::makespan(const MachineTree& tree,
+                               const coll::CachedPlan& plan,
+                               const sim::SimParams& params,
+                               const faults::FaultInjector* injector) {
+  return keyed_makespan(tree, plan.schedule, plan.fingerprint(), params,
+                        injector);
+}
+
+double ScenarioCache::keyed_makespan(const MachineTree& tree,
+                                     const CommSchedule& schedule,
+                                     std::uint64_t schedule_fingerprint,
+                                     const sim::SimParams& params,
+                                     const faults::FaultInjector* injector) {
   auto& registry = obs::Registry::global();
   bool simulated = false;
-  const auto result =
-      memo_.get(scenario_key(tree, schedule, params, injector), [&] {
+  const auto result = memo_.get(
+      scenario_key(tree, schedule_fingerprint, params, injector), [&] {
         // Counted before simulating: a scenario the simulator rejects still
         // counts its miss.
         simulated = true;

@@ -2,11 +2,10 @@
 // Memoized scenario simulation: the simulator half of the scenario-throughput
 // layer (the planner half is coll::PlanCache).
 //
-// Profiling the figure sweeps shows the discrete-event simulation dominating
-// each cell (~3/4 of cell time), and sweeps repeat scenarios heavily: every
-// warm perf_snapshot repetition re-simulates the identical (machine,
-// schedule, params, faults) tuple, and the chaos grid's two placements per
-// cell recur across reps. ScenarioCache memoizes
+// Sweeps repeat scenarios heavily: every warm perf_snapshot repetition
+// re-simulates the identical (machine, schedule, params, faults) tuple, the
+// chaos grid's two placements per cell recur across reps, and svc serves the
+// same popular scenarios over and over. ScenarioCache memoizes
 //
 //   (machine fingerprint, schedule fingerprint, params fingerprint,
 //    fault-plan fingerprint)  →  (makespan, captured sim.* metrics)
@@ -16,6 +15,13 @@
 // request served from another request's entry simulates nothing, so it
 // records no simulator spans; comparative trace runs keep their scenarios
 // distinct.
+//
+// Where the schedule fingerprint comes from: a memoized plan
+// (coll::CachedPlan) carries its own, hashed on first use and kept, so the
+// sweeps and svc, which simulate plans, key a lookup without touching the
+// schedule; an ad-hoc CommSchedule is hashed on every lookup. Both
+// overloads fill one ScenarioKey the same way, and a plan's fingerprint
+// equals its schedule's, so a plan and its raw schedule share one entry.
 //
 // Observability invariant: a hit replays the builder's captured RunMetrics
 // into obs::Registry::global() (sim::replay_run_metrics), so every counter
@@ -33,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "collectives/plan_cache.hpp"
 #include "core/machine.hpp"
 #include "core/schedule.hpp"
 #include "faults/injector.hpp"
@@ -75,12 +82,25 @@ class ScenarioCache {
                   const sim::SimParams& params,
                   const faults::FaultInjector* injector = nullptr);
 
+  /// The same scenario for a memoized plan, keyed on plan.fingerprint()
+  /// instead of re-hashing plan.schedule: same entry, same makespan.
+  double makespan(const MachineTree& tree, const coll::CachedPlan& plan,
+                  const sim::SimParams& params,
+                  const faults::FaultInjector* injector = nullptr);
+
   /// Drops every completed entry (builds in flight finish normally).
   void clear() { memo_.clear(); }
 
   [[nodiscard]] std::size_t size() const { return memo_.size(); }
 
  private:
+  /// Both makespan() overloads: `schedule_fingerprint` is
+  /// schedule.fingerprint(), however the caller came by it.
+  double keyed_makespan(const MachineTree& tree, const CommSchedule& schedule,
+                        std::uint64_t schedule_fingerprint,
+                        const sim::SimParams& params,
+                        const faults::FaultInjector* injector);
+
   util::Memo<ScenarioKey, ScenarioResult> memo_;
 };
 

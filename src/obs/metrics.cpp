@@ -66,6 +66,16 @@ ShardCache& shard_cache() {
   return cache;
 }
 
+/// The cell named `name` in one of a shard's maps, created on first use. The
+/// name is copied into a std::string only then.
+template <typename Cell>
+Cell& cell(std::map<std::string, Cell, std::less<>>& cells,
+           std::string_view name) {
+  const auto found = cells.find(name);
+  if (found != cells.end()) return found->second;
+  return cells.emplace(name, Cell{}).first->second;
+}
+
 }  // namespace
 
 Registry::Registry() : id_(next_registry_id()) {}
@@ -87,16 +97,16 @@ detail::Shard& Registry::local_shard() {
   return *shard;
 }
 
-Counter Registry::counter(const std::string& name) {
-  return Counter{&local_shard().counters[name]};
+Counter Registry::counter(std::string_view name) {
+  return Counter{&cell(local_shard().counters, name)};
 }
 
-Gauge Registry::gauge(const std::string& name) {
-  return Gauge{&local_shard().gauges[name]};
+Gauge Registry::gauge(std::string_view name) {
+  return Gauge{&cell(local_shard().gauges, name)};
 }
 
-Histogram Registry::histogram(const std::string& name) {
-  return Histogram{&local_shard().histograms[name]};
+Histogram Registry::histogram(std::string_view name) {
+  return Histogram{&cell(local_shard().histograms, name)};
 }
 
 HistogramValue merge_histograms(const std::string& name,

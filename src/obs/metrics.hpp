@@ -26,10 +26,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hbsp::obs {
@@ -69,11 +71,13 @@ struct HistogramCell {
 };
 
 /// One thread's private slice of a registry. Map nodes have stable
-/// addresses, so handles can cache raw cell pointers.
+/// addresses, so handles can cache raw cell pointers. The transparent
+/// comparator lets a lookup by std::string_view find an existing cell
+/// without building a std::string.
 struct Shard {
-  std::map<std::string, CounterCell> counters;
-  std::map<std::string, GaugeCell> gauges;
-  std::map<std::string, HistogramCell> histograms;
+  std::map<std::string, CounterCell, std::less<>> counters;
+  std::map<std::string, GaugeCell, std::less<>> gauges;
+  std::map<std::string, HistogramCell, std::less<>> histograms;
 };
 
 }  // namespace detail
@@ -173,10 +177,11 @@ class Registry {
   static Registry& global();
 
   /// Handles bound to the calling thread's shard. Cheap enough to fetch
-  /// once per phase/plan; cache them for per-message hot loops.
-  [[nodiscard]] Counter counter(const std::string& name);
-  [[nodiscard]] Gauge gauge(const std::string& name);
-  [[nodiscard]] Histogram histogram(const std::string& name);
+  /// once per phase/plan (a name already present allocates nothing); cache
+  /// them for per-message hot loops.
+  [[nodiscard]] Counter counter(std::string_view name);
+  [[nodiscard]] Gauge gauge(std::string_view name);
+  [[nodiscard]] Histogram histogram(std::string_view name);
 
   /// Merges all shards by name (see the merge rules above).
   [[nodiscard]] MetricsSnapshot snapshot() const;

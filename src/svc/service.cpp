@@ -41,7 +41,7 @@ const char* to_string(Outcome outcome) noexcept {
 std::uint64_t ResponseBody::content_fingerprint() const noexcept {
   util::Hash64 hash;
   hash.add(coll::plan_request_fingerprint(spec));
-  hash.add(plan != nullptr ? plan->schedule.fingerprint() : 0u);
+  hash.add(plan != nullptr ? plan->fingerprint() : 0u);
   hash.add_double(plan != nullptr ? plan->predicted_cost : 0.0);
   hash.add_int(simulated ? 1 : 0);
   hash.add_double(simulated_makespan);
@@ -268,7 +268,7 @@ Response Service::compute(const Canonical& request) {
       response.body.simulated = true;
       t0 = tracing ? now_seconds() : 0.0;
       response.body.simulated_makespan = exp::simulate_makespan(
-          *request.tree, response.body.plan->schedule, request.params);
+          *request.tree, *response.body.plan, request.params);
       stage("simulate", t0);
       response.body.rationale = advice.rationale;
       break;
@@ -292,7 +292,7 @@ Response Service::compute(const Canonical& request) {
       std::optional<faults::FaultInjector> injector;
       if (request.fault_plan != nullptr) injector.emplace(*request.fault_plan);
       response.body.simulated_makespan = exp::simulate_makespan(
-          *request.tree, response.body.plan->schedule, request.params,
+          *request.tree, *response.body.plan, request.params,
           injector.has_value() ? &*injector : nullptr);
       stage("simulate", t0);
       break;

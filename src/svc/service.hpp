@@ -153,8 +153,11 @@ struct ResponseBody {
   double simulated_makespan = 0.0;  ///< exp::ScenarioCache makespan
   std::string rationale;            ///< advisor runs only
 
-  /// Stable content digest (spec, schedule fingerprint, costs, rationale) —
-  /// what the differential tests and the load harness checksum.
+  /// Stable content digest of spec, schedule, predicted cost, simulated flag
+  /// and makespan, and rationale — what the differential tests and the load
+  /// harness checksum. The schedule enters as plan->fingerprint(), the
+  /// plan's kept hash, so a warm response is digested without re-hashing
+  /// its schedule.
   [[nodiscard]] std::uint64_t content_fingerprint() const noexcept;
 };
 

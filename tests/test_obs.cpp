@@ -10,6 +10,7 @@
 #include <map>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -57,6 +58,24 @@ TEST(ObsRegistry, CounterAccumulatesAcrossHandles) {
   auto handle = registry.counter("events");
   handle.add(6);
   EXPECT_EQ(registry.snapshot().counter("events"), 10u);
+}
+
+TEST(ObsRegistry, LookupByViewFindsTheSameCell) {
+  // A lookup by std::string_view (here one that is not null-terminated, and
+  // one long enough to defeat the small-string buffer) reaches the cell the
+  // std::string name created, and creates it under exactly that name.
+  Registry registry;
+  const std::string_view names = "scenario.misses.and.more";
+  registry.counter(names.substr(0, 15)).increment();
+  registry.counter(std::string{"scenario.misses"}).increment();
+  registry.histogram(names).record(1.0);
+  registry.histogram("scenario.misses.and.more").record(2.0);
+  const MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters.front().name, "scenario.misses");
+  EXPECT_EQ(snap.counters.front().value, 2u);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms.front().count, 2u);
 }
 
 TEST(ObsRegistry, SnapshotIsSortedByName) {

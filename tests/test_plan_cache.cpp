@@ -1,17 +1,20 @@
 // Differential suite for the plan cache: a memoized plan must be
 // indistinguishable from a freshly built one — schedule value-identical
-// (CommSchedule::operator==), predicted cost the exact CostModel price — on
-// every collective and every machine shape, and distinct requests must never
-// share an entry.
+// (CommSchedule::operator==), predicted cost the exact CostModel price,
+// kept fingerprint the schedule's own hash — on every collective and every
+// machine shape, and distinct requests must never share an entry.
 
 #include "collectives/plan_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -19,6 +22,9 @@
 #include "experiments/chaos.hpp"
 #include "experiments/figures.hpp"
 #include "experiments/scenario_cache.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/injector.hpp"
+#include "obs/metrics.hpp"
 
 namespace hbsp::coll {
 namespace {
@@ -143,6 +149,90 @@ TEST(PlanCacheDifferential, ColdAndWarmSweepCsvsAreByteIdentical) {
   const std::string chaos_cold = exp::chaos_csv(exp::chaos_sweep(chaos));
   const std::string chaos_warm = exp::chaos_csv(exp::chaos_sweep(chaos));
   EXPECT_EQ(chaos_cold, chaos_warm);
+}
+
+TEST(PlanCacheFingerprint, KeptStampEqualsAFreshHashEverywhere) {
+  for (const auto& [name, tree] : machine_basket()) {
+    PlanCache cache;
+    for (const PlanRequest& request : request_basket(tree)) {
+      const auto plan = cache.get(tree, request);
+      const std::uint64_t stamped = plan->fingerprint();
+      EXPECT_EQ(stamped, plan->schedule.fingerprint()) << name;
+      EXPECT_EQ(stamped, build_plan(tree, request).fingerprint()) << name;
+      // The second call reads the kept value, and a warm get() hands back
+      // the same stamped plan.
+      EXPECT_EQ(plan->fingerprint(), stamped) << name;
+      EXPECT_EQ(cache.get(tree, request)->fingerprint(), stamped) << name;
+    }
+  }
+}
+
+TEST(PlanCacheFingerprint, ConcurrentFirstCallsAgree) {
+  // Svc workers and sweep threads share plans, so the first fingerprint()
+  // calls on one plan can race. All of them must read the schedule's hash
+  // (the thread sanitizer leg runs this for data races).
+  const std::array<double, 4> cycle = {1.0, 2.5, 1.6, 4.0};
+  const MachineTree tree = make_uniform_tree(3, 10, cycle);
+  const PlanRequest request{.kind = CollectiveKind::kBroadcast,
+                            .n = 100000,
+                            .root_pid = 0,
+                            .top_phase = TopPhase::kTwoPhase};
+  PlanCache cache;
+  const auto plan = cache.get(tree, request);
+  std::promise<void> go;
+  const std::shared_future<void> start = go.get_future().share();
+  std::vector<std::uint64_t> seen(8, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&, t] {
+      start.wait();
+      seen[t] = plan->fingerprint();
+    });
+  }
+  go.set_value();
+  for (std::thread& thread : threads) thread.join();
+
+  const std::uint64_t want = build_plan(tree, request).fingerprint();
+  for (const std::uint64_t value : seen) EXPECT_EQ(value, want);
+}
+
+/// Simulates `plan` through the CachedPlan form and then its schedule
+/// through the CommSchedule form, from cold caches and a zeroed registry.
+/// Both must land on one scenario entry: one miss, then one hit.
+void expect_one_scenario_entry(const MachineTree& tree, const CachedPlan& plan,
+                               const faults::FaultInjector* injector) {
+  auto& registry = obs::Registry::global();
+  registry.reset();
+  exp::ScenarioCache::global().clear();
+  const sim::SimParams params;
+  const double via_plan = exp::simulate_makespan(tree, plan, params, injector);
+  const double via_schedule =
+      exp::simulate_makespan(tree, plan.schedule, params, injector);
+  EXPECT_EQ(via_plan, via_schedule);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("scenario.misses"), 1u);
+  EXPECT_EQ(snap.counter("scenario.hits"), 1u);
+  EXPECT_EQ(exp::ScenarioCache::global().size(), 1u);
+  exp::ScenarioCache::global().clear();
+}
+
+TEST(ScenarioCacheKey, PlanAndItsScheduleShareOneEntry) {
+  // Both overloads must build one ScenarioKey: the scenario.* counters
+  // pinned in BENCH_3.json count entries, whichever way a scenario came in.
+  const MachineTree tree = make_paper_testbed(6);
+  PlanCache cache;
+  const auto plan = cache.get(tree, {.kind = CollectiveKind::kGather,
+                                     .n = 100000,
+                                     .root_pid = tree.slowest_pid(tree.root()),
+                                     .shares = Shares::kEqual});
+  expect_one_scenario_entry(tree, *plan, nullptr);
+
+  faults::ChaosOptions options;
+  options.slowdown_rate = 2.0;
+  options.message_loss_probability = 0.05;
+  const faults::FaultInjector injector{
+      faults::make_chaos_plan(tree.num_processors(), options, 2001)};
+  expect_one_scenario_entry(tree, *plan, &injector);
 }
 
 TEST(PlanCacheLifetime, PlansSurviveClear) {

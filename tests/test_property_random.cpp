@@ -166,7 +166,7 @@ TEST_P(RandomMachineProperty, CachedScenarioIsBitIdenticalToDirectSimulation) {
   // Zero-fault half of the scenario-throughput soundness claim: a makespan
   // served through the plan + scenario caches equals the seed simulator's
   // exactly (==, not NEAR) — cold (first request simulates) and warm (the
-  // memoized value) alike.
+  // memoized value, looked up by the plan's kept fingerprint) alike.
   const MachineTree tree = machine();
   const auto plan = coll::PlanCache::global().get(
       tree, {.kind = coll::CollectiveKind::kGather,
@@ -176,7 +176,7 @@ TEST_P(RandomMachineProperty, CachedScenarioIsBitIdenticalToDirectSimulation) {
   sim::ClusterSim direct{tree, kParams};
   const double want = direct.run(plan->schedule).makespan;
   const double cold = exp::simulate_makespan(tree, plan->schedule, kParams);
-  const double warm = exp::simulate_makespan(tree, plan->schedule, kParams);
+  const double warm = exp::simulate_makespan(tree, *plan, kParams);
   EXPECT_EQ(cold, want);
   EXPECT_EQ(warm, want);
 }
