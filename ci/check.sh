@@ -100,6 +100,28 @@ plain_leg() {
   python3 ci/validate_trace.py "${tmp}/trace1.json"
   echo "fig3a virtual trace byte-identical at 1 and 4 threads"
 
+  # The simulator's per-processor spans, end to end on trace_explorer: its
+  # export is virtual-only, so two runs of one case must write byte-identical
+  # JSON that validates; a negative problem size must be refused.
+  local explorer=build-ci/examples/trace_explorer
+  local case machine collective
+  for case in campus:gather wan:broadcast; do
+    machine="${case%%:*}"
+    collective="${case#*:}"
+    "${explorer}" --machine "${machine}" --collective "${collective}" \
+      --out "${tmp}/${machine}_a.json" >/dev/null
+    "${explorer}" --machine "${machine}" --collective "${collective}" \
+      --out "${tmp}/${machine}_b.json" >/dev/null
+    cmp "${tmp}/${machine}_a.json" "${tmp}/${machine}_b.json"
+    python3 ci/validate_trace.py "${tmp}/${machine}_a.json"
+  done
+  if "${explorer}" --kbytes -5 --out "${tmp}/negative.json" \
+    >/dev/null 2>&1; then
+    echo "trace_explorer accepted --kbytes -5" >&2
+    return 1
+  fi
+  echo "trace_explorer detail traces deterministic and valid; --kbytes -5 refused"
+
   # Golden drift: regenerate every pinned CSV, trace JSON and load_gen tally
   # into a temp dir and diff against the committed files. A behaviour change
   # that forgot to run ci/regen_goldens.sh (and review the new tables) fails

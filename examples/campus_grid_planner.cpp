@@ -127,10 +127,11 @@ int main(int argc, char** argv) {
       .allow("n-items", "problem size in items (default 250000)");
   cli.validate();
 
+  const auto n =
+      static_cast<std::size_t>(cli.get_positive_int("n-items", 250000));
   const MachineTree machine = cli.has("topology")
                                   ? load_topology(cli.get("topology", ""))
                                   : make_figure1_cluster();
-  const auto n = static_cast<std::size_t>(cli.get_int("n-items", 250000));
 
   std::printf("Planning for a %d-level machine with %d processors.\n\n",
               machine.height(), machine.num_processors());

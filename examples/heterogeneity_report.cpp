@@ -52,6 +52,8 @@ int main(int argc, char** argv) {
       .allow("kbytes", "collective problem size in KB (default 500)")
       .allow("quick", "shrink kernel workloads (for CI)");
   cli.validate();
+  const std::size_t kbytes =
+      static_cast<std::size_t>(cli.get_positive_int("kbytes", 500));
 
   // 1. Benchmark this host.
   bytemark::KernelConfig config;
@@ -99,8 +101,7 @@ int main(int argc, char** argv) {
   const MachineSpec spec = bytemark::cluster_spec_from_ranking(ranking, 2e-3);
   const MachineTree machine = MachineTree::build(spec, 1e-6);
   const CostModel model{machine};
-  const auto n =
-      util::ints_in_kbytes(static_cast<std::size_t>(cli.get_int("kbytes", 500)));
+  const auto n = util::ints_in_kbytes(kbytes);
 
   util::Table costs{"Expected collective costs for " + std::to_string(n) +
                     " items (" + util::format_bytes(n * 4) + ")"};

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       .allow("compare", "also run the equal-shares BSP version (default true)");
   cli.validate();
 
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 200000));
+  const auto n = static_cast<std::size_t>(cli.get_positive_int("n", 200000));
   const int p = static_cast<int>(cli.get_int("p", 8));
   const MachineTree machine = cli.get_bool("hierarchical", false)
                                   ? make_figure1_cluster()

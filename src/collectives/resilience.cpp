@@ -194,16 +194,17 @@ ResilienceReport run_with_replanning(const MachineTree& tree,
     sim::ClusterSim sim{current, params};
     sim.set_fault_injector(&injector);
 
+    const sim::RunMetrics& record = sim.run_metrics();
     bool aborted = false;
     for (const Phase& phase : schedule.phases) {
       sim.execute_phase(phase);
-      if (!sim.excluded_pids().empty()) {
+      if (!record.excluded_pids.empty()) {
         aborted = true;
         break;
       }
     }
-    report.messages_lost += sim.fault_stats().messages_lost;
-    report.retries += sim.fault_stats().retries;
+    report.messages_lost += record.messages_lost;
+    report.retries += record.retries;
 
     if (!aborted) {
       report.degraded_makespan = elapsed + sim.makespan();
@@ -216,7 +217,7 @@ ResilienceReport run_with_replanning(const MachineTree& tree,
     elapsed += detected;
     ++report.replans;
     obs::Registry::global().counter("coll.replans").increment();
-    const std::vector<int> dead = sim.excluded_pids();
+    const std::vector<int> dead = record.excluded_pids;
     for (const int pid : dead) {
       report.excluded_pids.push_back(
           to_original[static_cast<std::size_t>(pid)]);

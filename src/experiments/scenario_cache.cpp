@@ -68,9 +68,9 @@ double ScenarioCache::keyed_makespan(const MachineTree& tree,
     registry.gauge("scenario.size").set(static_cast<double>(size()));
   } else {
     registry.counter("scenario.hits").increment();
-    // Replay the builder's registry contribution so totals are identical
-    // to an uncached re-simulation.
-    sim::replay_run_metrics(result->metrics);
+    // Write the builder's run record again so totals are identical to an
+    // uncached re-simulation.
+    sim::add_to_registry(result->metrics);
   }
   return result->makespan;
 }

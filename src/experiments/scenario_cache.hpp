@@ -8,7 +8,7 @@
 // same popular scenarios over and over. ScenarioCache memoizes
 //
 //   (machine fingerprint, schedule fingerprint, params fingerprint,
-//    fault-plan fingerprint)  →  (makespan, captured sim.* metrics)
+//    fault-plan fingerprint)  →  (makespan, the run's sim::RunMetrics)
 //
 // on the same util::Memo as PlanCache, so hit/miss counters are a pure
 // function of the distinct scenarios requested at any thread count. A
@@ -23,10 +23,11 @@
 // overloads fill one ScenarioKey the same way, and a plan's fingerprint
 // equals its schedule's, so a plan and its raw schedule share one entry.
 //
-// Observability invariant: a hit replays the builder's captured RunMetrics
-// into obs::Registry::global() (sim::replay_run_metrics), so every counter
-// and histogram in the sim.* family ends up exactly as if the scenario had
-// been re-simulated. Registry totals therefore depend only on the multiset
+// Observability invariant: a hit writes the builder's captured run record
+// (sim::RunMetrics) into obs::Registry::global() through sim::add_to_registry,
+// the same function the simulator flushes with, so every counter and
+// histogram in the sim.* family ends up exactly as if the scenario had been
+// re-simulated. Registry totals therefore depend only on the multiset
 // of scenarios requested — never on which requests were hits — which is what
 // lets the perf gate keep exact-matching counters while warm wall time
 // drops.
@@ -61,8 +62,8 @@ struct ScenarioKey {
   friend auto operator<=>(const ScenarioKey&, const ScenarioKey&) = default;
 };
 
-/// What one simulated scenario produced: the makespan plus the run's entire
-/// obs-registry contribution, kept so hits can replay it.
+/// What one simulated scenario produced: the makespan plus the run's record,
+/// kept so hits can write it into the registry again.
 struct ScenarioResult {
   double makespan = 0.0;
   sim::RunMetrics metrics;
@@ -75,8 +76,8 @@ class ScenarioCache {
   static ScenarioCache& global();
 
   /// The memoized makespan of the scenario, simulating on first use.
-  /// A hit replays the captured sim.* metrics into the global registry; a
-  /// miss simulates (the simulator flushes its own metrics as usual).
+  /// A hit writes the captured run record into the global registry; a miss
+  /// simulates (the simulator writes its own record as usual).
   /// Concurrent requests for the same key block until the builder finishes.
   double makespan(const MachineTree& tree, const CommSchedule& schedule,
                   const sim::SimParams& params,

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -35,6 +37,45 @@ std::string phase_track(const obs::TraceRecorder& recorder) {
   return track;
 }
 
+/// One per-processor span on `<context>/p<pid>` (see the header comment).
+void detail_span(int pid, const char* name, double begin, double end,
+                 int peer, std::size_t items) {
+  auto& recorder = obs::TraceRecorder::global();
+  std::string track = recorder.context();
+  if (!track.empty()) track += '/';
+  track += 'p';
+  track += std::to_string(pid);
+  recorder.record_span(std::move(track), name, obs::SpanKind::kOther,
+                       obs::Timebase::kVirtual, begin, end,
+                       {{"peer", peer},
+                        {"items", static_cast<std::int64_t>(items)}});
+}
+
+template <typename T>
+void append(std::vector<T>& into, const std::vector<T>& part) {
+  into.insert(into.end(), part.begin(), part.end());
+}
+
+/// Adds `part`'s counts to `run` and appends its lists.
+void merge(RunMetrics& run, const RunMetrics& part) {
+  run.runs += part.runs;
+  run.phases += part.phases;
+  run.plans += part.plans;
+  run.ghost_plans += part.ghost_plans;
+  run.send_attempts += part.send_attempts;
+  run.messages_delivered += part.messages_delivered;
+  run.messages_lost += part.messages_lost;
+  run.retries += part.retries;
+  run.barriers += part.barriers;
+  run.barrier_stalls += part.barrier_stalls;
+  run.slowdown_hits += part.slowdown_hits;
+  run.events += part.events;
+  append(run.excluded_pids, part.excluded_pids);
+  append(run.plan_wire_seconds, part.plan_wire_seconds);
+  append(run.plan_span_seconds, part.plan_span_seconds);
+  append(run.run_makespan_seconds, part.run_makespan_seconds);
+}
+
 }  // namespace
 
 ClusterSim::ClusterSim(const MachineTree& tree, SimParams params,
@@ -44,7 +85,7 @@ ClusterSim::ClusterSim(const MachineTree& tree, SimParams params,
       seconds_per_op_(params.seconds_per_op < 0.0 ? tree.g()
                                                   : params.seconds_per_op),
       network_(tree, params_),
-      trace_(tree.num_processors(), record_events),
+      record_events_(record_events),
       clock_(static_cast<std::size_t>(tree.num_processors()), 0.0),
       excluded_(static_cast<std::size_t>(tree.num_processors()), 0),
       net_busy_(network_.num_slots(), 0.0) {
@@ -54,33 +95,29 @@ ClusterSim::ClusterSim(const MachineTree& tree, SimParams params,
 void ClusterSim::set_fault_injector(const faults::FaultInjector* injector) {
   faults_ = injector;
   std::fill(excluded_.begin(), excluded_.end(), 0);
-  excluded_pids_.clear();
-  fault_stats_ = FaultStats{};
+  run_metrics_.excluded_pids.clear();
+  run_metrics_.messages_lost = 0;
+  run_metrics_.retries = 0;
 }
 
 void ClusterSim::reset() {
   std::fill(clock_.begin(), clock_.end(), 0.0);
-  trace_.clear();
   network_.reset();
   plan_counter_ = 0;
-  tally_ = MetricsTally{};
   std::fill(excluded_.begin(), excluded_.end(), 0);
-  excluded_pids_.clear();
-  fault_stats_ = FaultStats{};
   run_metrics_ = RunMetrics{};
+  pending_ = RunMetrics{};
   arrivals_.clear();
   for (const std::size_t s : net_touched_) net_busy_[s] = 0.0;
   net_touched_.clear();
-  if (faults_ != nullptr && trace_.recording_events()) {
-    // Make the planned slowdown windows visible in the event trace up front;
-    // drops/losses/retries are recorded when the run encounters them.
+  if (faults_ != nullptr && record_events_ &&
+      obs::TraceRecorder::global().enabled()) {
+    // The planned slowdown windows, up front: they are inputs of the run,
+    // so they add no sim.events.
     for (const auto& w : faults_->plan().slowdowns) {
       if (w.pid >= tree_->num_processors()) continue;
-      const auto milli = static_cast<std::size_t>(w.factor * 1000.0);
-      trace_.record({w.begin, EventKind::kSlowdownStart, w.pid, -1, milli,
-                     "fault plan"});
-      trace_.record({w.end, EventKind::kSlowdownEnd, w.pid, -1, milli,
-                     "fault plan"});
+      detail_span(w.pid, "slowdown", w.begin, w.end, -1,
+                  static_cast<std::size_t>(w.factor * 1000.0));
     }
   }
 }
@@ -110,22 +147,20 @@ SimResult ClusterSim::run(const CommSchedule& schedule) {
   SimResult result;
   result.phase_completion.reserve(schedule.phases.size());
   for (const auto& phase : schedule.phases) {
-    auto timings = execute_phase(phase);
+    auto timings = simulate_phase(phase);
     double completion = 0.0;
     for (const auto& t : timings) completion = std::max(completion, t.barrier_exit);
     result.phase_completion.push_back(completion);
     result.plan_timings.push_back(std::move(timings));
   }
   result.makespan = makespan();
-  auto& registry = obs::Registry::global();
-  registry.counter("sim.runs").increment();
-  registry.histogram("sim.run_makespan_seconds").record(result.makespan);
-  ++run_metrics_.runs;
-  run_metrics_.run_makespan_seconds.push_back(result.makespan);
+  pending_.runs = 1;
+  pending_.run_makespan_seconds.push_back(result.makespan);
+  commit();
   return result;
 }
 
-void replay_run_metrics(const RunMetrics& metrics) {
+void add_to_registry(const RunMetrics& metrics) {
   auto& registry = obs::Registry::global();
   registry.counter("sim.runs").add(metrics.runs);
   registry.counter("sim.phases").add(metrics.phases);
@@ -135,20 +170,35 @@ void replay_run_metrics(const RunMetrics& metrics) {
   registry.counter("sim.messages_delivered").add(metrics.messages_delivered);
   registry.counter("sim.messages_lost").add(metrics.messages_lost);
   registry.counter("sim.retries").add(metrics.retries);
-  registry.counter("sim.machines_excluded").add(metrics.machines_excluded);
+  registry.counter("sim.machines_excluded").add(metrics.excluded_pids.size());
   registry.counter("sim.barriers").add(metrics.barriers);
   registry.counter("sim.barrier_stalls").add(metrics.barrier_stalls);
   registry.counter("sim.slowdown_hits").add(metrics.slowdown_hits);
   registry.counter("sim.events").add(metrics.events);
-  obs::Histogram wire = registry.histogram("sim.plan_wire_seconds");
-  for (const double s : metrics.plan_wire_seconds) wire.record(s);
-  obs::Histogram span = registry.histogram("sim.plan_span_seconds");
-  for (const double s : metrics.plan_span_seconds) span.record(s);
-  obs::Histogram makespan = registry.histogram("sim.run_makespan_seconds");
-  for (const double s : metrics.run_makespan_seconds) makespan.record(s);
+  const auto record = [&registry](std::string_view name,
+                                  const std::vector<double>& samples) {
+    if (samples.empty()) return;
+    obs::Histogram histogram = registry.histogram(name);
+    for (const double s : samples) histogram.record(s);
+  };
+  record("sim.plan_wire_seconds", metrics.plan_wire_seconds);
+  record("sim.plan_span_seconds", metrics.plan_span_seconds);
+  record("sim.run_makespan_seconds", metrics.run_makespan_seconds);
+}
+
+void ClusterSim::commit() {
+  add_to_registry(pending_);
+  merge(run_metrics_, pending_);
+  pending_ = RunMetrics{};
 }
 
 std::vector<PlanTiming> ClusterSim::execute_phase(const Phase& phase) {
+  std::vector<PlanTiming> timings = simulate_phase(phase);
+  commit();
+  return timings;
+}
+
+std::vector<PlanTiming> ClusterSim::simulate_phase(const Phase& phase) {
   auto& recorder = obs::TraceRecorder::global();
   const bool tracing = recorder.enabled();
   if (tracing) {
@@ -170,51 +220,8 @@ std::vector<PlanTiming> ClusterSim::execute_phase(const Phase& phase) {
         completion,
         {{"plans", static_cast<std::int64_t>(phase.plans.size())}});
   }
-  flush_metrics();
+  ++pending_.phases;
   return timings;
-}
-
-void ClusterSim::flush_metrics() {
-  auto& registry = obs::Registry::global();
-  registry.counter("sim.phases").increment();
-  registry.counter("sim.plans").add(tally_.plans);
-  registry.counter("sim.ghost_plans").add(tally_.ghost_plans);
-  registry.counter("sim.send_attempts").add(tally_.send_attempts);
-  registry.counter("sim.messages_delivered").add(tally_.messages_delivered);
-  registry.counter("sim.messages_lost").add(tally_.messages_lost);
-  registry.counter("sim.retries").add(tally_.retries);
-  registry.counter("sim.machines_excluded").add(tally_.machines_excluded);
-  registry.counter("sim.barriers").add(tally_.barriers);
-  registry.counter("sim.barrier_stalls").add(tally_.barrier_stalls);
-  registry.counter("sim.slowdown_hits").add(tally_.slowdown_hits);
-  const std::size_t events = trace_.events_recorded();
-  registry.counter("sim.events").add(events - tally_.events_seen);
-  obs::Histogram wire = registry.histogram("sim.plan_wire_seconds");
-  for (const double s : tally_.plan_wire_seconds) wire.record(s);
-  obs::Histogram span = registry.histogram("sim.plan_span_seconds");
-  for (const double s : tally_.plan_span_seconds) span.record(s);
-  // Mirror the whole flush into the run capture so replay_run_metrics can
-  // repeat this run's registry contribution verbatim.
-  ++run_metrics_.phases;
-  run_metrics_.plans += tally_.plans;
-  run_metrics_.ghost_plans += tally_.ghost_plans;
-  run_metrics_.send_attempts += tally_.send_attempts;
-  run_metrics_.messages_delivered += tally_.messages_delivered;
-  run_metrics_.messages_lost += tally_.messages_lost;
-  run_metrics_.retries += tally_.retries;
-  run_metrics_.machines_excluded += tally_.machines_excluded;
-  run_metrics_.barriers += tally_.barriers;
-  run_metrics_.barrier_stalls += tally_.barrier_stalls;
-  run_metrics_.slowdown_hits += tally_.slowdown_hits;
-  run_metrics_.events += events - tally_.events_seen;
-  run_metrics_.plan_wire_seconds.insert(run_metrics_.plan_wire_seconds.end(),
-                                        tally_.plan_wire_seconds.begin(),
-                                        tally_.plan_wire_seconds.end());
-  run_metrics_.plan_span_seconds.insert(run_metrics_.plan_span_seconds.end(),
-                                        tally_.plan_span_seconds.begin(),
-                                        tally_.plan_span_seconds.end());
-  tally_ = MetricsTally{};
-  tally_.events_seen = events;
 }
 
 void ClusterSim::order_arrivals(int first, int last) {
@@ -254,7 +261,7 @@ void ClusterSim::order_arrivals(int first, int last) {
 
 PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
   ++plan_counter_;
-  ++tally_.plans;
+  ++pending_.plans;
   const auto [first, last] = tree_->processor_range(plan.sync_scope);
   if (first >= last) throw std::logic_error{"execute_plan: empty scope"};
 
@@ -269,24 +276,23 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
   }
   auto& recorder = obs::TraceRecorder::global();
   const bool tracing = recorder.enabled();
+  const bool detail = tracing && record_events_;
   const std::string span_track_name =
       tracing ? span_track(recorder, plan.sync_scope) : std::string{};
   if (!any_live) {
     // Every scope member has dropped: the plan is a ghost. Nothing runs, no
     // barrier closes; the detector still flags the unreported corpses so the
     // re-planning layer learns about fully-dead clusters.
-    ++tally_.ghost_plans;
+    ++pending_.ghost_plans;
     double frozen = 0.0;
     for (int pid = first; pid < last; ++pid) {
       frozen = std::max(frozen, clock_[static_cast<std::size_t>(pid)]);
       const auto slot = static_cast<std::size_t>(pid);
       if (excluded_[slot]) continue;
       excluded_[slot] = 1;
-      excluded_pids_.push_back(pid);
-      ++fault_stats_.machines_excluded;
-      ++tally_.machines_excluded;
-      trace_.record(clock_[slot], EventKind::kMachineDrop, pid, -1, 0,
-                     plan.label);
+      pending_.excluded_pids.push_back(pid);
+      ++pending_.events;
+      if (detail) detail_span(pid, "drop", clock_[slot], clock_[slot], -1, 0);
     }
     timing.start = timing.work_end = timing.wire_end = timing.barrier_exit =
         frozen;
@@ -314,11 +320,11 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
     }
     return latest;
   };
-  const std::size_t attempts_before = tally_.send_attempts;
-  const std::size_t retries_before = tally_.retries;
-  const std::size_t delivered_before = tally_.messages_delivered;
-  const std::size_t lost_before = tally_.messages_lost;
-  const std::size_t stalls_before = tally_.barrier_stalls;
+  const std::size_t attempts_before = pending_.send_attempts;
+  const std::size_t retries_before = pending_.retries;
+  const std::size_t delivered_before = pending_.messages_delivered;
+  const std::size_t lost_before = pending_.messages_lost;
+  const std::size_t stalls_before = pending_.barrier_stalls;
 
   // 1. Local computation. A dropped processor does no further work; a
   //    slowdown window stretches busy time like a time-varying r.
@@ -326,15 +332,16 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
     const auto slot = static_cast<std::size_t>(work.pid);
     if (dead_at(work.pid, clock_[slot])) continue;
     const double slow = fault_slow(work.pid, clock_[slot]);
-    if (slow != 1.0) ++tally_.slowdown_hits;
+    if (slow != 1.0) ++pending_.slowdown_hits;
     const double seconds = work.ops * tree_->processor_compute_r(work.pid) *
                            seconds_per_op_ * load_factor(work.pid) * slow;
-    trace_.record(clock_[slot], EventKind::kComputeStart, work.pid, -1,
-                   static_cast<std::size_t>(work.ops), plan.label);
+    const double begin = clock_[slot];
     clock_[slot] += seconds;
-    trace_.note_compute(work.pid, seconds);
-    trace_.record(clock_[slot], EventKind::kComputeEnd, work.pid, -1,
-                   static_cast<std::size_t>(work.ops), plan.label);
+    pending_.events += 2;
+    if (detail) {
+      detail_span(work.pid, "compute", begin, clock_[slot], -1,
+                  static_cast<std::size_t>(work.ops));
+    }
   }
   const double compute_end = tracing ? scope_clock_max() : 0.0;
 
@@ -364,25 +371,28 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
     int attempt = 1;
     double timeout = params_.retry_timeout;
     for (;;) {
-      ++tally_.send_attempts;
+      ++pending_.send_attempts;
       if (attempt > 1) {
-        ++fault_stats_.retries;
-        ++tally_.retries;
-        trace_.record(clock_[slot], EventKind::kRetry, t.src_pid, t.dst_pid,
-                       t.items, plan.label);
+        ++pending_.retries;
+        ++pending_.events;
+        if (detail) {
+          detail_span(t.src_pid, "retry", clock_[slot], clock_[slot],
+                      t.dst_pid, t.items);
+        }
       }
       const double send_slow = fault_slow(t.src_pid, clock_[slot]);
-      if (send_slow != 1.0) ++tally_.slowdown_hits;
+      if (send_slow != 1.0) ++pending_.slowdown_hits;
       const double busy =
           (params_.o_send * r +
            tree_->g() * r * lambda * static_cast<double>(t.items)) *
           load_factor(t.src_pid) * send_slow;
-      trace_.record(clock_[slot], EventKind::kSendStart, t.src_pid, t.dst_pid,
-                     t.items, plan.label);
+      const double send_begin = clock_[slot];
       clock_[slot] += busy;
-      trace_.note_send(t.src_pid, t.items, busy);
-      trace_.record(clock_[slot], EventKind::kSendEnd, t.src_pid, t.dst_pid,
-                     t.items, plan.label);
+      pending_.events += 2;
+      if (detail) {
+        detail_span(t.src_pid, "send", send_begin, clock_[slot], t.dst_pid,
+                    t.items);
+      }
 
       // Charge shared-medium occupancy on every crossed network.
       route_scratch_.clear();
@@ -410,17 +420,20 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
           faults_ != nullptr &&
           (dst_dead ||
            (!final_attempt && faults_->lose_message(message_key, attempt)));
+      ++pending_.events;  // the arrival or the loss
       if (!lost) {
-        trace_.record(arrival, EventKind::kArrival, t.dst_pid, t.src_pid,
-                      t.items, plan.label);
+        if (detail) {
+          detail_span(t.dst_pid, "arrival", arrival, arrival, t.src_pid,
+                      t.items);
+        }
         arrivals_.push_back({arrival, seq, t.dst_pid});
-        ++tally_.messages_delivered;
+        ++pending_.messages_delivered;
         break;
       }
-      ++fault_stats_.messages_lost;
-      ++tally_.messages_lost;
-      trace_.record(arrival, EventKind::kMessageLost, t.dst_pid, t.src_pid,
-                     t.items, plan.label);
+      ++pending_.messages_lost;
+      if (detail) {
+        detail_span(t.dst_pid, "lost", arrival, arrival, t.src_pid, t.items);
+      }
       if (final_attempt) break;  // the receiver is gone; the sender gives up
       clock_[slot] += timeout;   // wait out the acknowledgement that never comes
       timeout *= params_.retry_backoff;
@@ -435,13 +448,13 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
         span_track_name, "sends", obs::SpanKind::kMessageBatch,
         obs::Timebase::kVirtual, compute_end, sends_end,
         {{"attempts",
-          static_cast<std::int64_t>(tally_.send_attempts - attempts_before)},
+          static_cast<std::int64_t>(pending_.send_attempts - attempts_before)},
          {"retries",
-          static_cast<std::int64_t>(tally_.retries - retries_before)},
-         {"delivered", static_cast<std::int64_t>(tally_.messages_delivered -
+          static_cast<std::int64_t>(pending_.retries - retries_before)},
+         {"delivered", static_cast<std::int64_t>(pending_.messages_delivered -
                                                  delivered_before)},
          {"lost",
-          static_cast<std::int64_t>(tally_.messages_lost - lost_before)}});
+          static_cast<std::int64_t>(pending_.messages_lost - lost_before)}});
   }
 
   // 3. Receives: receivers in pid order, each draining its messages in
@@ -455,10 +468,11 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
     if (dead_at(t.dst_pid, start)) {
       // The receiver died between the wire and the drain: the payload is
       // lost with the machine.
-      ++fault_stats_.messages_lost;
-      ++tally_.messages_lost;
-      trace_.record(start, EventKind::kMessageLost, t.dst_pid, t.src_pid,
-                    t.items, plan.label);
+      ++pending_.messages_lost;
+      ++pending_.events;
+      if (detail) {
+        detail_span(t.dst_pid, "lost", start, start, t.src_pid, t.items);
+      }
       continue;
     }
     const double r = tree_->processor_r(t.dst_pid);
@@ -466,23 +480,22 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
         destination_costs_ ? destination_costs_->factor(t.src_pid, t.dst_pid)
                            : 1.0;
     const double recv_slow = fault_slow(t.dst_pid, start);
-    if (recv_slow != 1.0) ++tally_.slowdown_hits;
+    if (recv_slow != 1.0) ++pending_.slowdown_hits;
     const double busy =
         (params_.o_recv * r + params_.recv_ratio * tree_->g() * r * lambda *
                                   static_cast<double>(t.items)) *
         load_factor(t.dst_pid) * recv_slow;
-    trace_.record(start, EventKind::kRecvStart, t.dst_pid, t.src_pid, t.items,
-                  plan.label);
     clock_[slot] = start + busy;
-    trace_.note_recv(t.dst_pid, t.items, busy);
-    trace_.record(clock_[slot], EventKind::kRecvEnd, t.dst_pid, t.src_pid,
-                  t.items, plan.label);
+    pending_.events += 2;
+    if (detail) {
+      detail_span(t.dst_pid, "recv", start, clock_[slot], t.src_pid, t.items);
+    }
   }
   if (tracing) {
     recorder.record_span(
         span_track_name, "receives", obs::SpanKind::kMessageBatch,
         obs::Timebase::kVirtual, sends_end, scope_clock_max(),
-        {{"delivered", static_cast<std::int64_t>(tally_.messages_delivered -
+        {{"delivered", static_cast<std::int64_t>(pending_.messages_delivered -
                                                  delivered_before)}});
   }
 
@@ -511,7 +524,7 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
   const double barrier_enter = std::max(timing.work_end, timing.wire_end);
   const double L = tree_->sync_L(plan.sync_scope);
   timing.barrier_exit = barrier_enter + L;
-  ++tally_.barriers;
+  ++pending_.barriers;
   if (faults_ != nullptr && faults_->has_drops()) {
     bool newly_dropped = false;
     for (int pid = first; pid < last; ++pid) {
@@ -519,7 +532,7 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
       if (faults_->drop_time(pid) <= barrier_enter) newly_dropped = true;
     }
     if (newly_dropped) {
-      ++tally_.barrier_stalls;
+      ++pending_.barrier_stalls;
       timing.barrier_exit =
           timing.start + params_.failure_detector_multiple *
                              (barrier_enter - timing.start + L);
@@ -529,11 +542,12 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
           continue;
         }
         excluded_[slot] = 1;
-        excluded_pids_.push_back(pid);
-        ++fault_stats_.machines_excluded;
-        ++tally_.machines_excluded;
-        trace_.record(timing.barrier_exit, EventKind::kMachineDrop, pid, -1,
-                       0, plan.label);
+        pending_.excluded_pids.push_back(pid);
+        ++pending_.events;
+        if (detail) {
+          detail_span(pid, "drop", timing.barrier_exit, timing.barrier_exit,
+                      -1, 0);
+        }
         // The corpse's clock freezes at its last sign of life.
         clock_[slot] = std::min(clock_[slot], faults_->drop_time(pid));
       }
@@ -542,21 +556,21 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
   for (int pid = first; pid < last; ++pid) {
     const auto slot = static_cast<std::size_t>(pid);
     if (dead_at(pid, clock_[slot])) continue;  // the dead do not synchronise
-    trace_.record(clock_[slot], EventKind::kBarrierEnter, pid, -1, 0,
-                   plan.label);
+    pending_.events += 2;
+    if (detail) {
+      detail_span(pid, "wait", clock_[slot], timing.barrier_exit, -1, 0);
+    }
     clock_[slot] = timing.barrier_exit;
-    trace_.record(timing.barrier_exit, EventKind::kBarrierExit, pid, -1, 0,
-                   plan.label);
   }
   if (tracing) {
     recorder.record_span(
         span_track_name, "barrier", obs::SpanKind::kBarrier,
         obs::Timebase::kVirtual, barrier_enter, timing.barrier_exit,
-        {{"stalled", tally_.barrier_stalls > stalls_before ? 1 : 0}});
+        {{"stalled", pending_.barrier_stalls > stalls_before ? 1 : 0}});
     recorder.end_span(timing.barrier_exit, {{"ghost", 0}});
   }
-  tally_.plan_wire_seconds.push_back(plan_wire_seconds);
-  tally_.plan_span_seconds.push_back(timing.barrier_exit - timing.start);
+  pending_.plan_wire_seconds.push_back(plan_wire_seconds);
+  pending_.plan_span_seconds.push_back(timing.barrier_exit - timing.start);
   return timing;
 }
 

@@ -27,6 +27,24 @@
 // wire occupancy; dropped machines stop computing and stall their barrier
 // scope until the failure detector excludes them. With no injector (or an
 // empty plan) every timing is bit-identical to the fault-free simulator.
+//
+// What a run reports: its SimResult (timings), one RunMetrics record (every
+// count, the exclusion list and the histogram samples, written into the obs
+// registry by add_to_registry and nowhere else), per-network NetworkStats,
+// and — when obs::TraceRecorder::global() is enabled — virtual spans per
+// phase, superstep, message batch and barrier. Constructed with
+// record_events, it also records the per-processor timeline on
+// `<context>/p<pid>` tracks (all SpanKind::kOther, args `peer` and `items`;
+// peer is -1 where there is none):
+//
+//   compute, send (one per attempt), recv, wait (barrier enter -> exit)
+//   arrival, lost, retry, drop          zero-length, at the moment they occur
+//   slowdown                            each fault window, once per run;
+//                                       items = factor x 1000
+//
+// sim.events counts the simulated moments behind the first two rows: 2 per
+// duration span, 1 per zero-length span. Fault windows are plan inputs, not
+// events, so they count in neither mode.
 
 #include <cstdint>
 #include <vector>
@@ -37,7 +55,6 @@
 #include "faults/injector.hpp"
 #include "sim/network.hpp"
 #include "sim/sim_params.hpp"
-#include "sim/trace.hpp"
 
 namespace hbsp::sim {
 
@@ -56,47 +73,42 @@ struct SimResult {
   std::vector<std::vector<PlanTiming>> plan_timings;  ///< [phase][plan]
 };
 
-/// Aggregate fault-injection outcomes of a run (all zero without faults).
-struct FaultStats {
-  std::size_t messages_lost = 0;  ///< send attempts that vanished on the wire
-  std::size_t retries = 0;        ///< re-sends after a loss timeout
-  std::size_t machines_excluded = 0;  ///< dropouts the detector excluded
-};
-
-/// Everything a run contributed to the global obs registry (the `sim.*`
-/// counter and histogram family), captured alongside the SimResult so a
-/// scenario-cache hit can replay the identical contribution without
-/// re-simulating. Counter fields are deltas; the histogram fields hold the
-/// recorded values verbatim, so replaying preserves bucket counts, sums, and
-/// min/max bit-exactly.
+/// The simulator's one per-run record: what the run since the last reset()
+/// did, as counts, the failure detector's exclusions, and the samples behind
+/// the sim.* histograms. The sample lists hold the recorded values verbatim,
+/// so writing a captured record again (a scenario-cache hit) reproduces
+/// bucket counts, sums and min/max bit-exactly.
 struct RunMetrics {
   std::size_t runs = 0;
   std::size_t phases = 0;
   std::size_t plans = 0;
-  std::size_t ghost_plans = 0;
-  std::size_t send_attempts = 0;
+  std::size_t ghost_plans = 0;     ///< scopes where every member had died
+  std::size_t send_attempts = 0;   ///< includes every retry
   std::size_t messages_delivered = 0;
-  std::size_t messages_lost = 0;
-  std::size_t retries = 0;
-  std::size_t machines_excluded = 0;
+  std::size_t messages_lost = 0;   ///< on the wire or with a dead receiver
+  std::size_t retries = 0;         ///< re-sends after a loss timeout
   std::size_t barriers = 0;
-  std::size_t barrier_stalls = 0;
-  std::size_t slowdown_hits = 0;
-  std::size_t events = 0;
-  std::vector<double> plan_wire_seconds;
-  std::vector<double> plan_span_seconds;
+  std::size_t barrier_stalls = 0;  ///< barriers stretched by the detector
+  std::size_t slowdown_hits = 0;   ///< busy periods inside a fault window
+  std::size_t events = 0;          ///< simulated moments (file comment)
+  /// Processors the detector excluded, in exclusion order; its length is
+  /// sim.machines_excluded.
+  std::vector<int> excluded_pids;
+  std::vector<double> plan_wire_seconds;  ///< wire occupancy per plan
+  std::vector<double> plan_span_seconds;  ///< start -> barrier exit per plan
   std::vector<double> run_makespan_seconds;
 };
 
-/// Adds `metrics` to obs::Registry::global() exactly as the run that
-/// captured them did: same counters, same histogram samples, same values.
-/// Registry totals are therefore a pure function of which runs (fresh or
-/// replayed) contributed, not of which were cache hits.
-void replay_run_metrics(const RunMetrics& metrics);
+/// Writes `metrics` into obs::Registry::global(): each count to its sim.*
+/// counter, each sample to its histogram. The only place the sim.* names
+/// are spelled, so a simulated run and a replayed capture write alike and
+/// registry totals depend only on which runs contributed.
+void add_to_registry(const RunMetrics& metrics);
 
 class ClusterSim {
  public:
-  /// Validates `params`; `record_events` enables the full event trace.
+  /// Validates `params`; `record_events` adds the per-processor spans (see
+  /// the file comment) whenever the global trace recorder is enabled.
   ClusterSim(const MachineTree& tree, SimParams params,
              bool record_events = false);
 
@@ -109,17 +121,19 @@ class ClusterSim {
 
   /// Attaches a fault injector (see the class comment). The object must
   /// outlive the simulator; nullptr restores the fault-free behaviour.
-  /// Resets fault state (exclusions, stats) for the next run.
+  /// Clears the exclusions and the loss and retry counts for the next run.
   void set_fault_injector(const faults::FaultInjector* injector);
 
   /// Runs a validated schedule from time zero (resets state first).
   SimResult run(const CommSchedule& schedule);
 
   /// Incremental mode for the runtime engine: executes one phase against the
-  /// current clocks and returns its timings.
+  /// current clocks, writes its part of the record into the registry, and
+  /// returns its timings.
   std::vector<PlanTiming> execute_phase(const Phase& phase);
 
-  /// Zeroes all clocks, statistics and traces.
+  /// Zeroes all clocks and statistics, and records the fault plan's
+  /// slowdown windows when per-processor spans are on.
   void reset();
 
   /// Current virtual time of one processor.
@@ -128,29 +142,21 @@ class ClusterSim {
   /// Latest virtual time over all processors.
   [[nodiscard]] double makespan() const;
 
-  [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
   [[nodiscard]] const Network& network() const noexcept { return network_; }
   [[nodiscard]] const MachineTree& tree() const noexcept { return *tree_; }
   [[nodiscard]] const SimParams& params() const noexcept { return params_; }
 
-  /// Processors the failure detector has excluded so far, in exclusion
-  /// order. Cleared by reset(); empty without an injector.
-  [[nodiscard]] const std::vector<int>& excluded_pids() const noexcept {
-    return excluded_pids_;
-  }
-
-  /// Loss/retry/exclusion counters since the last reset().
-  [[nodiscard]] const FaultStats& fault_stats() const noexcept {
-    return fault_stats_;
-  }
-
-  /// The `sim.*` registry contribution accumulated since the last reset()
-  /// (i.e. of the last run()). Feed to replay_run_metrics to repeat it.
+  /// The record since the last reset(): of the last run(), or of the
+  /// phases executed so far. Everything in it is already in the registry;
+  /// add_to_registry(run_metrics()) repeats the contribution.
   [[nodiscard]] const RunMetrics& run_metrics() const noexcept {
     return run_metrics_;
   }
 
  private:
+  /// One phase into `pending_`, without committing it.
+  std::vector<PlanTiming> simulate_phase(const Phase& phase);
+
   PlanTiming execute_plan(const SuperstepPlan& plan);
 
   /// One delivered message waiting for its receiver; its sender, size and
@@ -171,28 +177,11 @@ class ClusterSim {
   /// log arrivals per receiver).
   void order_arrivals(int first, int last);
 
-  /// Instrumentation accumulated while executing plans, flushed into
-  /// obs::Registry::global() once per phase (the `sim.*` counter family).
-  /// Local accumulation keeps the per-message hot path free of registry
-  /// lookups and binds the flush to whichever thread runs the phase — each
-  /// sweep worker writes its own shard, merged deterministically later.
-  struct MetricsTally {
-    std::size_t plans = 0;
-    std::size_t ghost_plans = 0;       ///< scopes where every member had died
-    std::size_t send_attempts = 0;     ///< includes every retry
-    std::size_t messages_delivered = 0;
-    std::size_t messages_lost = 0;
-    std::size_t retries = 0;
-    std::size_t machines_excluded = 0;
-    std::size_t barriers = 0;
-    std::size_t barrier_stalls = 0;    ///< barriers stretched by the detector
-    std::size_t slowdown_hits = 0;     ///< busy periods inside a fault window
-    std::size_t events_seen = 0;       ///< trace events already flushed
-    std::vector<double> plan_wire_seconds;  ///< wire occupancy per plan
-    std::vector<double> plan_span_seconds;  ///< start -> barrier exit per plan
-  };
-
-  void flush_metrics();
+  /// Writes `pending_` into the registry, merges it into `run_metrics_`
+  /// and empties it. Called once per run() and once per incremental
+  /// execute_phase(), so the per-message path only bumps fields and each
+  /// writing thread flushes into its own registry shard.
+  void commit();
 
   /// Whether `pid` has dropped out by virtual time `at`.
   [[nodiscard]] bool dead_at(int pid, double at) const {
@@ -213,17 +202,15 @@ class ClusterSim {
   SimParams params_;
   double seconds_per_op_;
   Network network_;
-  Trace trace_;
+  bool record_events_;
   std::vector<double> clock_;
   std::vector<MachineId> route_scratch_;
   const DestinationCosts* destination_costs_ = nullptr;
   const faults::FaultInjector* faults_ = nullptr;
   std::size_t plan_counter_ = 0;
   std::vector<char> excluded_;    ///< per pid: detector has excluded it
-  std::vector<int> excluded_pids_;
-  FaultStats fault_stats_;
-  MetricsTally tally_;
-  RunMetrics run_metrics_;
+  RunMetrics run_metrics_;  ///< committed so far (see run_metrics())
+  RunMetrics pending_;      ///< simulated but not yet committed
   /// Per-plan arrival scratch, reused across plans (capacity survives):
   /// arrivals in issue order, the same reordered for the drain, and the
   /// per-receiver bucket bounds over the plan's scope.

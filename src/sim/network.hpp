@@ -7,14 +7,24 @@
 // and including their lowest common ancestor. Each network is a shared
 // medium: the simulator charges its per-item wire time as a throughput bound
 // at the closing barrier, and its level sets the per-message latency.
+// NetworkStats is the one per-network tally the simulator keeps; benches and
+// tests read it through ClusterSim::network().
 
+#include <cstddef>
 #include <vector>
 
 #include "core/machine.hpp"
 #include "sim/sim_params.hpp"
-#include "sim/trace.hpp"
 
 namespace hbsp::sim {
+
+/// Per-network (interior tree node) aggregates since the last reset(): what
+/// crossed the medium and the wire occupancy it was charged.
+struct NetworkStats {
+  std::size_t items_crossed = 0;
+  std::size_t messages_crossed = 0;
+  double wire_seconds = 0.0;
+};
 
 class Network {
  public:

@@ -12,12 +12,19 @@
 #include <limits>
 #include <string>
 
+#include "collectives/planners.hpp"
 #include "core/topology.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "runtime/hbsplib.hpp"
 #include "sim/cluster_sim.hpp"
+#include "sim_detail.hpp"
 
 namespace hbsp::faults {
 namespace {
+
+using test::detail_spans;
+using test::traced_run;
 
 constexpr double kG = 1e-6;
 constexpr double kL = 2e-3;
@@ -194,8 +201,8 @@ TEST(FaultSim, EmptyPlanIsBitIdenticalToNoInjector) {
   // single bit of the timeline.
   EXPECT_EQ(actual.makespan, expected.makespan);
   ASSERT_EQ(actual.phase_completion, expected.phase_completion);
-  EXPECT_TRUE(faulty.excluded_pids().empty());
-  EXPECT_EQ(faulty.fault_stats().messages_lost, 0u);
+  EXPECT_TRUE(faulty.run_metrics().excluded_pids.empty());
+  EXPECT_EQ(faulty.run_metrics().messages_lost, 0u);
 }
 
 TEST(FaultSim, SlowdownWindowStretchesBusyTime) {
@@ -239,18 +246,19 @@ TEST(FaultSim, LostMessagesPayRetryTimeoutsWithBackoff) {
   // P1→P0, 1000 items, send busy 2 ms per attempt. Attempts 1 and 2 are
   // lost (+1 ms, then +2 ms timeouts); attempt 3 is final and delivers:
   // sender clock 2+1+2+2+2 = 9 ms, then P0 drains 0.5 ms.
-  const sim::SimResult result = sim.run(single_step(tree, {{1, 0, 1000}}));
-  EXPECT_NEAR(result.makespan, 9e-3 + 0.5e-3 + kL, 1e-12);
-  EXPECT_EQ(sim.fault_stats().messages_lost, 2u);
-  EXPECT_EQ(sim.fault_stats().retries, 2u);
+  const obs::TraceSnapshot trace =
+      traced_run(sim, single_step(tree, {{1, 0, 1000}}));
+  EXPECT_NEAR(sim.makespan(), 9e-3 + 0.5e-3 + kL, 1e-12);
+  EXPECT_EQ(sim.run_metrics().messages_lost, 2u);
+  EXPECT_EQ(sim.run_metrics().retries, 2u);
 
-  std::size_t lost_events = 0, retry_events = 0;
-  for (const sim::TraceEvent& e : sim.trace().events()) {
-    lost_events += e.kind == sim::EventKind::kMessageLost ? 1 : 0;
-    retry_events += e.kind == sim::EventKind::kRetry ? 1 : 0;
-  }
-  EXPECT_EQ(lost_events, 2u);
-  EXPECT_EQ(retry_events, 2u);
+  // Both losses show on the receiver's track, both retries on the sender's,
+  // and each of the three attempts is its own send span.
+  EXPECT_EQ(detail_spans(trace, "lost", 0).size(), 2u);
+  EXPECT_EQ(detail_spans(trace, "retry", 1).size(), 2u);
+  EXPECT_EQ(detail_spans(trace, "send", 1).size(), 3u);
+  EXPECT_EQ(detail_spans(trace, "lost").size(), 2u);
+  EXPECT_EQ(detail_spans(trace, "retry").size(), 2u);
 }
 
 TEST(FaultSim, DroppedMachineStallsBarrierUntilDetectorExcludesIt) {
@@ -264,17 +272,17 @@ TEST(FaultSim, DroppedMachineStallsBarrierUntilDetectorExcludesIt) {
   sim.set_fault_injector(&injector);
   // P1→P0 completes at 2.5 ms; the barrier then stalls on the corpse until
   // the detector fires at 4·(2.5 ms + L) = 18 ms.
-  const sim::SimResult result = sim.run(single_step(tree, {{1, 0, 1000}}));
-  EXPECT_NEAR(result.makespan, 4.0 * (2.5e-3 + kL), 1e-12);
-  ASSERT_EQ(sim.excluded_pids(), std::vector<int>{2});
-  EXPECT_EQ(sim.fault_stats().machines_excluded, 1u);
+  const obs::TraceSnapshot trace =
+      traced_run(sim, single_step(tree, {{1, 0, 1000}}));
+  EXPECT_NEAR(sim.makespan(), 4.0 * (2.5e-3 + kL), 1e-12);
+  ASSERT_EQ(sim.run_metrics().excluded_pids, std::vector<int>{2});
   EXPECT_EQ(sim.now(2), 0.0);  // the corpse's clock froze at its drop time
 
-  bool drop_event = false;
-  for (const sim::TraceEvent& e : sim.trace().events()) {
-    drop_event |= e.kind == sim::EventKind::kMachineDrop && e.pid == 2;
-  }
-  EXPECT_TRUE(drop_event);
+  // The exclusion shows on the corpse's track when the detector fires.
+  const std::vector<obs::SpanView> drops = detail_spans(trace, "drop");
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].track, "p2");
+  EXPECT_NEAR(drops[0].begin, 4.0 * (2.5e-3 + kL), 1e-12);
 }
 
 TEST(FaultSim, SenderGivesUpOnADeadReceiver) {
@@ -288,9 +296,9 @@ TEST(FaultSim, SenderGivesUpOnADeadReceiver) {
   sim.set_fault_injector(&injector);
   const sim::SimResult result = sim.run(single_step(tree, {{1, 0, 1000}}));
   // Both attempts vanish with the receiver; the detector then excludes P0.
-  EXPECT_EQ(sim.fault_stats().messages_lost, 2u);
-  EXPECT_EQ(sim.fault_stats().retries, 1u);
-  ASSERT_EQ(sim.excluded_pids(), std::vector<int>{0});
+  EXPECT_EQ(sim.run_metrics().messages_lost, 2u);
+  EXPECT_EQ(sim.run_metrics().retries, 1u);
+  ASSERT_EQ(sim.run_metrics().excluded_pids, std::vector<int>{0});
   EXPECT_GT(result.makespan, 0.0);
 }
 
@@ -298,14 +306,43 @@ TEST(FaultSim, SetInjectorResetsFaultStateForTheNextRun) {
   const MachineTree tree = cluster();
   FaultPlan plan;
   plan.drops.push_back({2, 0.0});
+  plan.message_loss_probability = 1.0;
   const FaultInjector injector{plan};
   sim::ClusterSim sim{tree, bare_params()};
   sim.set_fault_injector(&injector);
   (void)sim.run(single_step(tree, {{1, 0, 1000}}));
-  EXPECT_EQ(sim.fault_stats().machines_excluded, 1u);
+  EXPECT_EQ(sim.run_metrics().excluded_pids.size(), 1u);
+  EXPECT_GT(sim.run_metrics().messages_lost, 0u);
+  EXPECT_GT(sim.run_metrics().retries, 0u);
   sim.set_fault_injector(nullptr);
-  EXPECT_TRUE(sim.excluded_pids().empty());
-  EXPECT_EQ(sim.fault_stats().machines_excluded, 0u);
+  EXPECT_TRUE(sim.run_metrics().excluded_pids.empty());
+  EXPECT_EQ(sim.run_metrics().messages_lost, 0u);
+  EXPECT_EQ(sim.run_metrics().retries, 0u);
+}
+
+TEST(FaultSim, EventCountIsIndependentOfPerProcessorDetail) {
+  // Slowdown windows are inputs of the run: recording them as spans must
+  // not add to sim.events, in the record or in the registry.
+  const MachineTree tree = make_paper_testbed(6);
+  const CommSchedule schedule = coll::plan_gather(tree, 1000, {});
+  FaultPlan plan;
+  plan.slowdowns.push_back({1, 0.0, 1.0, 2.0});
+  plan.slowdowns.push_back({3, 0.0, 1.0, 3.0});
+  const FaultInjector injector{plan};
+  const auto events = [&](bool detail) {
+    auto& registry = obs::Registry::global();
+    registry.reset();
+    sim::ClusterSim sim{tree, sim::SimParams{}, /*record_events=*/detail};
+    sim.set_fault_injector(&injector);
+    const obs::TraceSnapshot trace = traced_run(sim, schedule);
+    EXPECT_EQ(detail_spans(trace, "slowdown").size(), detail ? 2u : 0u);
+    EXPECT_EQ(registry.snapshot().counter("sim.events"),
+              sim.run_metrics().events);
+    return sim.run_metrics().events;
+  };
+  const std::size_t without = events(false);
+  EXPECT_GT(without, 0u);
+  EXPECT_EQ(events(true), without);
 }
 
 // --- runtime composition -----------------------------------------------------

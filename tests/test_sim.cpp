@@ -10,9 +10,16 @@
 
 #include "collectives/planners.hpp"
 #include "core/topology.hpp"
+#include "obs/trace.hpp"
+#include "obs/trace_export.hpp"
+#include "sim_detail.hpp"
 
 namespace hbsp::sim {
 namespace {
+
+using test::arg;
+using test::detail_spans;
+using test::traced_run;
 
 constexpr double kG = 1e-6;
 constexpr double kL = 2e-3;
@@ -112,17 +119,17 @@ TEST(ClusterSim, ReceiverDrainsByArrivalTimeThenIssueOrder) {
   // latency): P1 at 3ms, P2 at 2ms, P3 and P4 both at 1ms. P0 must drain
   // by arrival time, the reverse of issue order, and break the P3/P4 tie
   // by issue order.
-  (void)sim.run(single_step(
-      tree, {{1, 0, 3000}, {2, 0, 2000}, {3, 0, 1000}, {4, 0, 1000}}));
-  std::vector<int> peers;
+  const obs::TraceSnapshot trace = traced_run(
+      sim, single_step(tree, {{1, 0, 3000}, {2, 0, 2000}, {3, 0, 1000},
+                              {4, 0, 1000}}));
+  std::vector<std::int64_t> peers;
   std::vector<double> starts;
-  for (const TraceEvent& e : sim.trace().events()) {
-    if (e.kind != EventKind::kRecvStart) continue;
-    EXPECT_EQ(e.pid, 0);
-    peers.push_back(e.peer);
-    starts.push_back(e.time);
+  for (const obs::SpanView& span : detail_spans(trace, "recv", 0)) {
+    peers.push_back(arg(span, "peer"));
+    starts.push_back(span.begin);
   }
-  EXPECT_EQ(peers, (std::vector<int>{3, 4, 2, 1}));
+  EXPECT_EQ(detail_spans(trace, "recv").size(), 4u);  // all of them on P0
+  EXPECT_EQ(peers, (std::vector<std::int64_t>{3, 4, 2, 1}));
   ASSERT_EQ(starts.size(), 4u);
   // Drains take 0.5·items·g: P4's waits for P3's, the later ones do not.
   EXPECT_NEAR(starts[0], 1e-3, 1e-12);
@@ -233,33 +240,49 @@ TEST(ClusterSim, ResetRestoresTimeZero) {
 
 TEST(ClusterSim, StatsAccumulate) {
   const MachineTree tree = cluster();
-  ClusterSim sim{tree, bare_params()};
-  (void)sim.run(single_step(tree, {{1, 0, 1000}, {2, 0, 500}}));
-  const Trace& trace = sim.trace();
-  EXPECT_EQ(trace.pid_stats(1).messages_sent, 1u);
-  EXPECT_EQ(trace.pid_stats(1).items_sent, 1000u);
-  EXPECT_EQ(trace.pid_stats(0).messages_received, 2u);
-  EXPECT_EQ(trace.pid_stats(0).items_received, 1500u);
-  EXPECT_GT(trace.pid_stats(0).recv_seconds, 0.0);
-  EXPECT_GT(trace.pid_stats(2).send_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(trace.pid_stats(0).send_seconds, 0.0);
+  ClusterSim sim{tree, bare_params(), /*record_events=*/true};
+  const obs::TraceSnapshot trace =
+      traced_run(sim, single_step(tree, {{1, 0, 1000}, {2, 0, 500}}));
+  const auto items = [](const std::vector<obs::SpanView>& spans) {
+    std::int64_t total = 0;
+    for (const obs::SpanView& span : spans) total += arg(span, "items");
+    return total;
+  };
+  const auto seconds = [](const std::vector<obs::SpanView>& spans) {
+    double total = 0.0;
+    for (const obs::SpanView& span : spans) total += span.duration();
+    return total;
+  };
+  EXPECT_EQ(detail_spans(trace, "send", 1).size(), 1u);
+  EXPECT_EQ(items(detail_spans(trace, "send", 1)), 1000);
+  EXPECT_EQ(detail_spans(trace, "recv", 0).size(), 2u);
+  EXPECT_EQ(items(detail_spans(trace, "recv", 0)), 1500);
+  EXPECT_GT(seconds(detail_spans(trace, "recv", 0)), 0.0);
+  EXPECT_GT(seconds(detail_spans(trace, "send", 2)), 0.0);
+  EXPECT_TRUE(detail_spans(trace, "send", 0).empty());
 }
 
 TEST(ClusterSim, EventTraceRecordsLifecycle) {
   const MachineTree tree = cluster();
   ClusterSim sim{tree, bare_params(), /*record_events=*/true};
-  (void)sim.run(single_step(tree, {{1, 0, 1000}}));
-  const auto& events = sim.trace().events();
-  ASSERT_FALSE(events.empty());
-  int sends = 0, recvs = 0, barriers = 0;
-  for (const auto& e : events) {
-    if (e.kind == EventKind::kSendEnd) ++sends;
-    if (e.kind == EventKind::kRecvEnd) ++recvs;
-    if (e.kind == EventKind::kBarrierExit) ++barriers;
+  const obs::TraceSnapshot trace =
+      traced_run(sim, single_step(tree, {{1, 0, 1000}}));
+  EXPECT_EQ(detail_spans(trace, "send").size(), 1u);
+  EXPECT_EQ(detail_spans(trace, "arrival").size(), 1u);
+  EXPECT_EQ(detail_spans(trace, "recv").size(), 1u);
+  EXPECT_EQ(detail_spans(trace, "wait").size(), 3u);  // one per processor
+  // The lifecycle in virtual time: P1 sends 2 ms, P0 drains 0.5 ms on
+  // arrival, and every barrier wait ends at the common exit.
+  const obs::SpanView send = detail_spans(trace, "send", 1).at(0);
+  const obs::SpanView recv = detail_spans(trace, "recv", 0).at(0);
+  EXPECT_NEAR(send.duration(), 2e-3, 1e-12);
+  EXPECT_EQ(arg(send, "peer"), 0);
+  EXPECT_EQ(detail_spans(trace, "arrival", 0).at(0).begin, send.end);
+  EXPECT_EQ(recv.begin, send.end);
+  EXPECT_EQ(arg(recv, "peer"), 1);
+  for (const obs::SpanView& wait : detail_spans(trace, "wait")) {
+    EXPECT_NEAR(wait.end, 2.5e-3 + kL, 1e-12);
   }
-  EXPECT_EQ(sends, 1);
-  EXPECT_EQ(recvs, 1);
-  EXPECT_EQ(barriers, 3);  // one per processor in scope
 }
 
 TEST(ClusterSim, NetworkStatsCountCrossings) {
@@ -288,36 +311,29 @@ TEST(ClusterSim, HigherLevelLatencyScales) {
 
 TEST(ClusterSim, ReusedPooledStorageReplaysIdenticalEventTrace) {
   // Stress the pooled hot path: a simulator whose internal storage (arrival
-  // buckets, touched-network list, trace buffers) has been warmed by prior
-  // runs of *different* schedules must replay a recorded trace exactly —
-  // same EventKind sequence, bit-identical virtual times.
+  // buckets, touched-network list, the run record) has been warmed by prior
+  // runs of *different* schedules must replay a recorded run exactly — the
+  // virtual span export, per-processor detail included, byte for byte.
   const MachineTree tree = make_figure1_cluster();
   const SimParams params;  // full default mechanics
   const CommSchedule gather = coll::plan_gather(tree, 50000, {});
   const CommSchedule broadcast = coll::plan_broadcast(tree, 80000, {});
 
   ClusterSim fresh{tree, params, /*record_events=*/true};
+  const obs::TraceSnapshot recorded = traced_run(fresh, gather);
   const SimResult want = fresh.run(gather);
-  const std::vector<TraceEvent> recorded = fresh.trace().events();
-  ASSERT_FALSE(recorded.empty());
+  ASSERT_FALSE(detail_spans(recorded, "recv").empty());
 
   ClusterSim warm{tree, params, /*record_events=*/true};
   for (int round = 0; round < 5; ++round) {
-    (void)warm.run(broadcast);  // different shape: pools stretch and shrink
-    (void)warm.run(gather);
+    (void)traced_run(warm, broadcast);  // different shape: pools stretch
+    (void)traced_run(warm, gather);     // and shrink
   }
-  const SimResult got = warm.run(gather);
+  const obs::TraceSnapshot replayed = traced_run(warm, gather);
 
-  EXPECT_EQ(got.makespan, want.makespan);
-  const std::vector<TraceEvent>& replayed = warm.trace().events();
-  ASSERT_EQ(replayed.size(), recorded.size());
-  for (std::size_t i = 0; i < recorded.size(); ++i) {
-    EXPECT_EQ(replayed[i].kind, recorded[i].kind) << "event " << i;
-    EXPECT_EQ(replayed[i].time, recorded[i].time) << "event " << i;
-    EXPECT_EQ(replayed[i].pid, recorded[i].pid) << "event " << i;
-    EXPECT_EQ(replayed[i].peer, recorded[i].peer) << "event " << i;
-    EXPECT_EQ(replayed[i].items, recorded[i].items) << "event " << i;
-  }
+  EXPECT_EQ(warm.run(gather).makespan, want.makespan);
+  EXPECT_EQ(obs::chrome_trace_json(replayed, obs::TraceFilter::kVirtualOnly),
+            obs::chrome_trace_json(recorded, obs::TraceFilter::kVirtualOnly));
 }
 
 TEST(SimParams, ValidateRejectsBadValues) {

@@ -6,7 +6,10 @@
 //      the property the CI trace gate pins against committed goldens;
 //   2. span counts reconcile exactly against the sim.* / svc.* counters
 //      (count(kSuperstep) == sim.plans, Σ"attempts" == sim.send_attempts,
-//      count(kRequest) == svc.requests at 1-in-1 sampling, ...);
+//      count(kRequest) == svc.requests at 1-in-1 sampling, ...), and so do
+//      the simulator's per-processor spans when it records them
+//      (count(send) == sim.send_attempts, sim.events == 2 per duration span
+//      + 1 per instant, ...);
 //   3. seeded 1-in-N sampling is reproducible and mutes unsampled requests
 //      completely;
 //   4. tracing compiled in but disabled records nothing and leaves every
@@ -21,10 +24,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,9 +39,12 @@
 #include "core/topology.hpp"
 #include "experiments/figures.hpp"
 #include "experiments/scenario_cache.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/cluster_sim.hpp"
+#include "sim_detail.hpp"
 #include "svc/service.hpp"
 
 namespace hbsp {
@@ -286,6 +294,108 @@ TEST(TraceDeterminism, DirectSimReconcilesIncludingDeliveries) {
       2 * counters.counter("sim.messages_delivered"));  // send + receive batch
 }
 
+/// One simulator run with per-processor detail, under a clean registry and
+/// recorder: its spans and the counters it wrote.
+struct DetailRun {
+  obs::TraceSnapshot trace;
+  obs::MetricsSnapshot counters;
+};
+
+DetailRun detail_run(const MachineTree& tree, const CommSchedule& schedule,
+                     const faults::FaultInjector* injector) {
+  clear_caches();
+  obs::Registry::global().reset();
+  sim::ClusterSim sim{tree, sim::SimParams{}, /*record_events=*/true};
+  sim.set_fault_injector(injector);
+  DetailRun run;
+  run.trace = test::traced_run(sim, schedule);
+  run.counters = obs::Registry::global().snapshot();
+  return run;
+}
+
+/// Σ over the schedule's plans of the sync scope's processor count: the
+/// barrier waits of a run in which nobody drops.
+std::uint64_t scope_members(const MachineTree& tree,
+                            const CommSchedule& schedule) {
+  std::uint64_t members = 0;
+  for (const Phase& phase : schedule.phases) {
+    for (const SuperstepPlan& plan : phase.plans) {
+      const auto [first, last] = tree.processor_range(plan.sync_scope);
+      members += static_cast<std::uint64_t>(last - first);
+    }
+  }
+  return members;
+}
+
+/// The identities that hold with and without faults: each per-processor
+/// span kind against its counter, sim.events against the spans exactly,
+/// and the superstep-level identities with the detail on.
+void expect_detail_reconciles(const DetailRun& run) {
+  const auto spans = [&run](const char* name) {
+    return static_cast<std::uint64_t>(
+        test::detail_spans(run.trace, name).size());
+  };
+  const obs::MetricsSnapshot& c = run.counters;
+  EXPECT_EQ(spans("send"), c.counter("sim.send_attempts"));
+  EXPECT_EQ(spans("retry"), c.counter("sim.retries"));
+  EXPECT_EQ(spans("lost"), c.counter("sim.messages_lost"));
+  EXPECT_EQ(spans("arrival"), c.counter("sim.messages_delivered"));
+  EXPECT_EQ(spans("drop"), c.counter("sim.machines_excluded"));
+  EXPECT_EQ(c.counter("sim.events"),
+            2 * (spans("compute") + spans("send") + spans("recv") +
+                 spans("wait")) +
+                spans("arrival") + spans("lost") + spans("retry") +
+                spans("drop"));
+
+  EXPECT_EQ(run.trace.count(obs::SpanKind::kSuperstep),
+            c.counter("sim.plans"));
+  EXPECT_EQ(run.trace.count(obs::SpanKind::kPhase), c.counter("sim.phases"));
+  EXPECT_EQ(run.trace.count(obs::SpanKind::kBarrier),
+            c.counter("sim.barriers"));
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                run.trace.arg_total(obs::SpanKind::kMessageBatch, "attempts")),
+            c.counter("sim.send_attempts"));
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                run.trace.arg_total(obs::SpanKind::kMessageBatch, "retries")),
+            c.counter("sim.retries"));
+}
+
+TEST(TraceDetail, PerProcessorSpansReconcileWithCounters) {
+  const MachineTree tree = make_figure1_cluster();
+  for (const CommSchedule& schedule :
+       {coll::plan_gather(tree, 50000, {}),
+        coll::plan_broadcast(tree, 80000, {})}) {
+    const DetailRun run = detail_run(tree, schedule, nullptr);
+    expect_detail_reconciles(run);
+    EXPECT_GT(run.counters.counter("sim.messages_delivered"), 0u);
+    EXPECT_EQ(test::detail_spans(run.trace, "recv").size(),
+              run.counters.counter("sim.messages_delivered"));
+    EXPECT_EQ(test::detail_spans(run.trace, "wait").size(),
+              scope_members(tree, schedule));
+  }
+}
+
+TEST(TraceDetail, SeededChaosRunReconcilesExactly) {
+  const MachineTree tree = make_figure1_cluster();
+  const CommSchedule schedule = coll::plan_broadcast(tree, 80000, {});
+  faults::ChaosOptions options;
+  options.horizon = 0.05;
+  options.slowdown_rate = 1.0;
+  options.drop_probability = 0.5;
+  options.message_loss_probability = 0.3;
+  const faults::FaultInjector injector{
+      faults::make_chaos_plan(tree.num_processors(), options, 7)};
+  const DetailRun run = detail_run(tree, schedule, &injector);
+  expect_detail_reconciles(run);
+  // The seed exercises every fault path the identities cover.
+  EXPECT_GT(run.counters.counter("sim.retries"), 0u);
+  EXPECT_GT(run.counters.counter("sim.machines_excluded"), 0u);
+  EXPECT_FALSE(test::detail_spans(run.trace, "slowdown").empty());
+  // The dead skip their barriers, so fewer waits than scope members.
+  EXPECT_LT(test::detail_spans(run.trace, "wait").size(),
+            scope_members(tree, schedule));
+}
+
 TEST(TraceDeterminism, SvcRequestSpansReconcileWithCounters) {
   clear_caches();
   auto& registry = obs::Registry::global();
@@ -465,6 +575,41 @@ TEST(TraceExport, ChromeJsonShapeAndFiltering) {
 
   // Byte stability: the same snapshot serialises identically every time.
   EXPECT_EQ(all, obs::chrome_trace_json(snap));
+}
+
+TEST(TraceExport, WritesFileAndThrowsOnUnwritablePath) {
+  obs::TraceRecorder recorder;
+  recorder.set_enabled(true);
+  recorder.record_span("t", "span", obs::SpanKind::kOther,
+                       obs::Timebase::kVirtual, 0.0, 1.0);
+  const obs::TraceSnapshot snap = recorder.snapshot();
+  const std::string path = testing::TempDir() + "hbspk_trace_test.json";
+  obs::write_chrome_trace(snap, path);
+  std::ifstream in{path, std::ios::binary};
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  EXPECT_EQ(contents.str(), obs::chrome_trace_json(snap));
+  std::remove(path.c_str());
+
+  EXPECT_THROW(obs::write_chrome_trace(snap, "/nonexistent/dir/trace.json"),
+               std::runtime_error);
+}
+
+TEST(TraceExport, FaultDetailSpansExport) {
+  const MachineTree tree = make_paper_testbed(3);
+  faults::FaultPlan fault_plan;
+  fault_plan.slowdowns.push_back({1, 0.0, 1.0, 2.0});
+  fault_plan.drops.push_back({2, 1e-4});
+  fault_plan.message_loss_probability = 1.0;  // every non-final attempt lost
+  const faults::FaultInjector injector{fault_plan};
+  const DetailRun run =
+      detail_run(tree, coll::plan_gather(tree, 1000, {}), &injector);
+  const std::string json = obs::chrome_trace_json(run.trace);
+  for (const char* name : {"slowdown", "drop", "lost", "retry"}) {
+    EXPECT_NE(json.find("\"name\": \"" + std::string{name} + "\""),
+              std::string::npos)
+        << name;
+  }
 }
 
 TEST(TraceExport, SelfTimeSubtractsSameTimebaseChildrenOnly) {
