@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
     config.kbytes = {500};
     config.sim.load_stddev = replica.sigma;
     config.sim.load_seed = static_cast<std::uint64_t>(replica.seed * 31);
-    factors[i] = exp::gather_root_experiment(config).factor[0][0];
+    exp::SweepRunner runner;
+    factors[i] = exp::gather_root_experiment(config, runner).factor[0][0];
   });
 
   util::Table table{

@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "collectives/planners.hpp"
+#include "collectives/plan_cache.hpp"
 #include "core/topology.hpp"
 #include "experiments/figures.hpp"
 #include "util/cli.hpp"
@@ -61,18 +61,13 @@ double targeted_misestimate_factor(int p, double overestimate) {
   }
   const MachineTree tree = MachineTree::build(root, 1e-6);
 
-  const std::size_t n = util::ints_in_kbytes(500);
-  const int fast = tree.coordinator_pid(tree.root());
-  const double t_u = exp::simulate_makespan(
-      tree,
-      coll::plan_gather(tree, n, {.root_pid = fast, .shares = coll::Shares::kEqual}),
-      sim::SimParams{});
-  const double t_b = exp::simulate_makespan(
-      tree,
-      coll::plan_gather(tree, n,
-                        {.root_pid = fast, .shares = coll::Shares::kBalanced}),
-      sim::SimParams{});
-  return t_u / t_b;
+  const coll::PlanRequest equal{.kind = coll::CollectiveKind::kGather,
+                                .n = util::ints_in_kbytes(500),
+                                .root_pid = tree.coordinator_pid(tree.root()),
+                                .shares = coll::Shares::kEqual};
+  coll::PlanRequest balanced = equal;
+  balanced.shares = coll::Shares::kBalanced;
+  return exp::improvement_factor(tree, equal, balanced, sim::SimParams{});
 }
 
 }  // namespace
@@ -96,7 +91,8 @@ int main(int argc, char** argv) {
     config.kbytes = {500};
     config.noise.stddev = noises[i / kSeeds];
     config.noise.seed = (i % kSeeds + 1) * 101;
-    const auto table = exp::gather_balance_experiment(config);
+    exp::SweepRunner runner;
+    const auto table = exp::gather_balance_experiment(config, runner);
     std::vector<double> factors;
     for (std::size_t row = 0; row < ps.size(); ++row) {
       factors.push_back(table.factor[row][0]);

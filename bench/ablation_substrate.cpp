@@ -35,8 +35,9 @@ ShapeStats measure(const sim::SimParams& params) {
   config.processors = {2, 10};
   config.kbytes = {500};
   config.sim = params;
-  const auto gather = exp::gather_root_experiment(config);
-  const auto bcast = exp::broadcast_root_experiment(config);
+  exp::SweepRunner runner;
+  const auto gather = exp::gather_root_experiment(config, runner);
+  const auto bcast = exp::broadcast_root_experiment(config, runner);
   return {gather.factor[0][0], gather.factor[1][0], bcast.factor[1][0]};
 }
 

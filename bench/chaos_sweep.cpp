@@ -18,6 +18,7 @@
 #include "core/topology.hpp"
 #include "experiments/chaos.hpp"
 #include "util/cli.hpp"
+#include "util/text_file.hpp"
 #include "util/units.hpp"
 
 int main(int argc, char** argv) {
@@ -30,9 +31,9 @@ int main(int argc, char** argv) {
 
   exp::ChaosConfig config;
   config.master_seed = static_cast<std::uint64_t>(cli.get_int("seed", 7001));
-  config.threads = static_cast<int>(cli.get_positive_int("threads", 1));
 
-  exp::SweepRunner runner{config.threads};
+  exp::SweepRunner runner{
+      static_cast<int>(cli.get_positive_int("threads", 1))};
   const exp::ChaosTable table = exp::chaos_sweep(config, runner);
   table
       .to_table("gather T_s/T_f under chaos (p=6, 500 KB; < 1 = ordering inverts)",
@@ -51,7 +52,7 @@ int main(int argc, char** argv) {
       table.fault_rates.size() * table.loss_probs.size());
 
   if (cli.has("csv")) {
-    exp::write_chaos_csv(table, cli.get("csv", ""));
+    util::write_text_file(cli.get("csv", ""), exp::chaos_csv(table));
   }
 
   // Degraded-mode re-planning demo: drop the testbed's fastest machine a

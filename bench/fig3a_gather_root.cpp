@@ -14,12 +14,12 @@
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 #include "util/cli.hpp"
+#include "util/text_file.hpp"
 
 int main(int argc, char** argv) {
   using namespace hbsp;
   util::Cli cli{argc, argv};
   cli.allow("csv", "write the sweep to this CSV path")
-      .allow("seed", "sweep master seed (default 2001)")
       .allow("threads", "sweep worker threads (default 1)")
       .allow("grid", "paper (default, 9x10 cells) or small (3x3, trace goldens)")
       .allow("trace-out",
@@ -27,8 +27,7 @@ int main(int argc, char** argv) {
   cli.validate();
 
   exp::FigureConfig config;
-  config.noise.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2001));
-  config.threads = static_cast<int>(cli.get_positive_int("threads", 1));
+  const int threads = static_cast<int>(cli.get_positive_int("threads", 1));
   const std::string grid = cli.get("grid", "paper");
   if (grid == "small") {
     // The compact grid the CI trace gate pins: full virtual-span coverage at
@@ -46,7 +45,7 @@ int main(int argc, char** argv) {
     recorder.set_enabled(true);
   }
 
-  exp::SweepRunner runner{config.threads};
+  exp::SweepRunner runner{threads};
   const exp::ImprovementTable table = exp::gather_root_experiment(config, runner);
   table
       .to_table(
@@ -63,7 +62,7 @@ int main(int argc, char** argv) {
     obs::self_time_table(snapshot).print();
   }
   if (cli.has("csv")) {
-    exp::write_improvement_csv(table, cli.get("csv", ""));
+    util::write_text_file(cli.get("csv", ""), exp::improvement_csv(table));
   }
   std::puts("\nPaper: improvement rises with p, is flat in n, and is < 1 at p=2.");
   return 0;

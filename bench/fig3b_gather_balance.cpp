@@ -10,6 +10,7 @@
 
 #include "experiments/figures.hpp"
 #include "util/cli.hpp"
+#include "util/text_file.hpp"
 
 int main(int argc, char** argv) {
   using namespace hbsp;
@@ -23,9 +24,9 @@ int main(int argc, char** argv) {
   exp::FigureConfig config;
   config.noise.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2001));
   config.noise.stddev = cli.get_double("noise", 0.05);
-  config.threads = static_cast<int>(cli.get_positive_int("threads", 1));
 
-  exp::SweepRunner runner{config.threads};
+  exp::SweepRunner runner{
+      static_cast<int>(cli.get_positive_int("threads", 1))};
   const exp::ImprovementTable table =
       exp::gather_balance_experiment(config, runner);
   table
@@ -36,7 +37,7 @@ int main(int argc, char** argv) {
   runner.counters().to_table("sweep throughput").print();
 
   if (cli.has("csv")) {
-    exp::write_improvement_csv(table, cli.get("csv", ""));
+    util::write_text_file(cli.get("csv", ""), exp::improvement_csv(table));
   }
   std::puts(
       "\nPaper: balancing helps only at p=2; elsewhere the root's aggregate\n"

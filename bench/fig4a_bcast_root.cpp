@@ -14,6 +14,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 #include "util/cli.hpp"
+#include "util/text_file.hpp"
 
 int main(int argc, char** argv) {
   using namespace hbsp;
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
   cli.validate();
 
   exp::FigureConfig config;
-  config.threads = static_cast<int>(cli.get_positive_int("threads", 1));
+  const int threads = static_cast<int>(cli.get_positive_int("threads", 1));
   const std::string grid = cli.get("grid", "paper");
   if (grid == "small") {
     config.processors = {2, 6, 10};
@@ -42,7 +43,7 @@ int main(int argc, char** argv) {
     recorder.set_enabled(true);
   }
 
-  exp::SweepRunner runner{config.threads};
+  exp::SweepRunner runner{threads};
   const exp::ImprovementTable table =
       exp::broadcast_root_experiment(config, runner);
   table
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
     obs::self_time_table(snapshot).print();
   }
   if (cli.has("csv")) {
-    exp::write_improvement_csv(table, cli.get("csv", ""));
+    util::write_text_file(cli.get("csv", ""), exp::improvement_csv(table));
   }
   std::puts(
       "\nPaper: negligible improvement -- every processor must receive all n\n"

@@ -9,6 +9,7 @@
 
 #include "experiments/figures.hpp"
 #include "util/cli.hpp"
+#include "util/text_file.hpp"
 
 int main(int argc, char** argv) {
   using namespace hbsp;
@@ -20,9 +21,9 @@ int main(int argc, char** argv) {
 
   exp::FigureConfig config;
   config.noise.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2001));
-  config.threads = static_cast<int>(cli.get_positive_int("threads", 1));
 
-  exp::SweepRunner runner{config.threads};
+  exp::SweepRunner runner{
+      static_cast<int>(cli.get_positive_int("threads", 1))};
   const exp::ImprovementTable table =
       exp::broadcast_balance_experiment(config, runner);
   table
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
   runner.counters().to_table("sweep throughput").print();
 
   if (cli.has("csv")) {
-    exp::write_improvement_csv(table, cli.get("csv", ""));
+    util::write_text_file(cli.get("csv", ""), exp::improvement_csv(table));
   }
   std::puts("\nPaper: no benefit -- every processor still receives all n items.");
   return 0;

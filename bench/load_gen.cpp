@@ -16,6 +16,7 @@
 
 #include "svc/load_harness.hpp"
 #include "util/cli.hpp"
+#include "util/text_file.hpp"
 
 namespace {
 
@@ -104,14 +105,7 @@ int main(int argc, char** argv) {
   std::printf("latency_p99     %.6fs\n", report.latency_p99);
 
   if (cli.has("tally")) {
-    const std::string path = cli.get("tally", "");
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "load_gen: cannot open %s\n", path.c_str());
-      return 1;
-    }
-    std::fputs(tally_block(report).c_str(), out);
-    std::fclose(out);
+    util::write_text_file(cli.get("tally", ""), tally_block(report));
   }
   return 0;
 }

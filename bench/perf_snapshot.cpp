@@ -46,6 +46,7 @@
 #include "obs/metrics.hpp"
 #include "svc/load_harness.hpp"
 #include "util/cli.hpp"
+#include "util/text_file.hpp"
 #include "util/units.hpp"
 
 // Resolved build configuration, stamped into the snapshot's "meta" block by
@@ -152,16 +153,14 @@ int main(int argc, char** argv) {
   exp::SweepRunner runner{threads};
   std::vector<WorkloadResult> results;
 
-  exp::FigureConfig fig;
-  fig.threads = threads;
+  const exp::FigureConfig fig{};
   results.push_back(run_workload(
       "fig3a", reps, [&] { (void)exp::gather_root_experiment(fig, runner); }));
   results.push_back(run_workload("fig4a", reps, [&] {
     (void)exp::broadcast_root_experiment(fig, runner);
   }));
 
-  exp::ChaosConfig chaos;
-  chaos.threads = threads;
+  const exp::ChaosConfig chaos{};
   results.push_back(
       run_workload("chaos", reps, [&] { (void)exp::chaos_sweep(chaos, runner); }));
 
@@ -258,15 +257,7 @@ int main(int argc, char** argv) {
   json += "  ]\n";
   json += "}\n";
 
-  {
-    std::FILE* out = std::fopen(out_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "perf_snapshot: cannot open %s\n", out_path.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), out);
-    std::fclose(out);
-  }
+  util::write_text_file(out_path, json);
 
   if (tracing) {
     auto& recorder = obs::TraceRecorder::global();

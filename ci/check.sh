@@ -89,6 +89,17 @@ plain_leg() {
   cmp "${tmp}/c1.csv" "${tmp}/c4.csv"
   echo "chaos_sweep CSV byte-identical at 1 and 4 threads"
 
+  # A CSV that cannot be written must fail the run: /dev/full accepts the
+  # open and refuses the bytes, so only a checked close catches it.
+  local bench
+  for bench in "${fig3a}" "${chaos}"; do
+    if "${bench}" --csv /dev/full >/dev/null 2>&1; then
+      echo "${bench} --csv /dev/full exited 0" >&2
+      return 1
+    fi
+  done
+  echo "fig3a and chaos_sweep fail on an unwritable CSV"
+
   # The same claim for the span-tracing layer: the exported virtual-time
   # trace sorts spans by content (never by arrival thread), so the JSON must
   # be byte-identical at any worker count — and schema/semantically valid.

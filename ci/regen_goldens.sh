@@ -25,15 +25,15 @@ mkdir -p "${OUT_DIR}"
 
 cmake -B "${BUILD_DIR}" -S . >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-  --target fig3a_gather_root fig4a_bcast_root chaos_sweep load_gen >/dev/null
+  --target fig3a_gather_root fig3b_gather_balance fig4a_bcast_root \
+  fig4b_bcast_balance chaos_sweep load_gen >/dev/null
 
-"${BUILD_DIR}/bench/fig3a_gather_root" --threads 8 \
-  --csv "${OUT_DIR}/fig3a.csv" >/dev/null
-echo "regenerated ${OUT_DIR}/fig3a.csv"
-
-"${BUILD_DIR}/bench/fig4a_bcast_root" --threads 8 \
-  --csv "${OUT_DIR}/fig4a.csv" >/dev/null
-echo "regenerated ${OUT_DIR}/fig4a.csv"
+for figure in fig3a:fig3a_gather_root fig3b:fig3b_gather_balance \
+  fig4a:fig4a_bcast_root fig4b:fig4b_bcast_balance; do
+  "${BUILD_DIR}/bench/${figure#*:}" --threads 8 \
+    --csv "${OUT_DIR}/${figure%%:*}.csv" >/dev/null
+  echo "regenerated ${OUT_DIR}/${figure%%:*}.csv"
+done
 
 # Virtual-time trace goldens use the small 3x3 grid so the committed JSON
 # stays reviewable (~18 KB). Byte-identical at any --threads by design —

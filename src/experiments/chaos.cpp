@@ -3,11 +3,9 @@
 #include <stdexcept>
 
 #include "collectives/plan_cache.hpp"
-#include "collectives/planners.hpp"
 #include "core/topology.hpp"
+#include "experiments/figures.hpp"
 #include "obs/metrics.hpp"
-#include "sim/cluster_sim.hpp"
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -15,23 +13,8 @@ namespace hbsp::exp {
 namespace {
 
 using coll::CollectiveKind;
-using coll::PlanCache;
 using coll::PlanRequest;
 using coll::Shares;
-using coll::TopPhase;
-
-/// The memoized gather / two-phase broadcast plans the fault cells compare.
-std::shared_ptr<const coll::CachedPlan> cached_plan(const MachineTree& tree,
-                                                    CollectiveKind kind,
-                                                    std::size_t n,
-                                                    int root_pid) {
-  return PlanCache::global().get(tree,
-                                 PlanRequest{.kind = kind,
-                                             .n = n,
-                                             .root_pid = root_pid,
-                                             .shares = Shares::kEqual,
-                                             .top_phase = TopPhase::kTwoPhase});
-}
 
 std::size_t count_inversions(
     const std::vector<std::vector<double>>& factor) noexcept {
@@ -40,15 +23,6 @@ std::size_t count_inversions(
     for (const double f : row) count += f < 1.0 ? 1 : 0;
   }
   return count;
-}
-
-/// Row cells of the CSV/console formats share one 4-decimal format.
-std::vector<std::string> factor_row(std::string collective, double rate,
-                                    const std::vector<double>& factors) {
-  std::vector<std::string> row{std::move(collective),
-                               util::Table::num(rate, 2)};
-  for (const double f : factors) row.push_back(util::Table::num(f, 4));
-  return row;
 }
 
 }  // namespace
@@ -98,69 +72,6 @@ std::string chaos_csv(const ChaosTable& table) {
   return text;
 }
 
-void write_chaos_csv(const ChaosTable& table, const std::string& path) {
-  util::CsvWriter csv{path};
-  std::vector<std::string> header{"collective", "fault_rate"};
-  for (const double loss : table.loss_probs) {
-    header.push_back(util::Table::num(loss, 4));
-  }
-  csv.write_row(header);
-  for (std::size_t i = 0; i < table.fault_rates.size(); ++i) {
-    csv.write_row(factor_row("gather", table.fault_rates[i],
-                             table.gather_factor[i]));
-  }
-  for (std::size_t i = 0; i < table.fault_rates.size(); ++i) {
-    csv.write_row(factor_row("broadcast", table.fault_rates[i],
-                             table.broadcast_factor[i]));
-  }
-}
-
-ImprovementTable gather_root_experiment_with_faults(
-    const FigureConfig& config, const faults::FaultPlan& plan,
-    SweepRunner& runner) {
-  const faults::FaultInjector injector{plan};
-  return runner.run(
-      {config.processors, config.kbytes, config.noise.seed},
-      [&config, &injector](const SweepCell& cell) {
-        const MachineTree tree =
-            make_paper_testbed(cell.p, config.g, config.L);
-        const int fast = tree.coordinator_pid(tree.root());
-        const int slow = tree.slowest_pid(tree.root());
-        const auto plan_f =
-            cached_plan(tree, CollectiveKind::kGather, cell.n, fast);
-        const auto plan_s =
-            cached_plan(tree, CollectiveKind::kGather, cell.n, slow);
-        const double t_f = simulate_makespan(
-            tree, *plan_f, config.sim, &injector);
-        const double t_s = simulate_makespan(
-            tree, *plan_s, config.sim, &injector);
-        return t_s / t_f;
-      });
-}
-
-ImprovementTable broadcast_root_experiment_with_faults(
-    const FigureConfig& config, const faults::FaultPlan& plan,
-    SweepRunner& runner) {
-  const faults::FaultInjector injector{plan};
-  return runner.run(
-      {config.processors, config.kbytes, config.noise.seed},
-      [&config, &injector](const SweepCell& cell) {
-        const MachineTree tree =
-            make_paper_testbed(cell.p, config.g, config.L);
-        const int fast = tree.coordinator_pid(tree.root());
-        const int slow = tree.slowest_pid(tree.root());
-        const auto plan_f =
-            cached_plan(tree, CollectiveKind::kBroadcast, cell.n, fast);
-        const auto plan_s =
-            cached_plan(tree, CollectiveKind::kBroadcast, cell.n, slow);
-        const double t_f = simulate_makespan(
-            tree, *plan_f, config.sim, &injector);
-        const double t_s = simulate_makespan(
-            tree, *plan_s, config.sim, &injector);
-        return t_s / t_f;
-      });
-}
-
 ChaosTable chaos_sweep(const ChaosConfig& config, SweepRunner& runner) {
   if (config.fault_rates.empty() || config.loss_probs.empty()) {
     throw std::invalid_argument{"chaos grid must have both axes non-empty"};
@@ -178,6 +89,10 @@ ChaosTable chaos_sweep(const ChaosConfig& config, SweepRunner& runner) {
   table.broadcast_factor.assign(rows, std::vector<double>(cols, 0.0));
 
   const std::size_t n = util::ints_in_kbytes(config.kbytes);
+  // p is fixed, so every cell shares one testbed (and its plans).
+  const MachineTree tree = make_paper_testbed(config.p, config.g, config.L);
+  const int fast = tree.coordinator_pid(tree.root());
+  const int slow = tree.slowest_pid(tree.root());
   runner.pool().parallel_for(rows * cols, [&](std::size_t index) {
     const std::size_t row = index / cols;
     const std::size_t col = index % cols;
@@ -192,27 +107,19 @@ ChaosTable chaos_sweep(const ChaosConfig& config, SweepRunner& runner) {
         config.p, options, util::split_seed(config.master_seed, index));
     const faults::FaultInjector injector{plan};
 
-    const MachineTree tree = make_paper_testbed(config.p, config.g, config.L);
-    const int fast = tree.coordinator_pid(tree.root());
-    const int slow = tree.slowest_pid(tree.root());
-
-    const auto gather_plan_f = cached_plan(tree, CollectiveKind::kGather, n, fast);
-    const auto gather_plan_s = cached_plan(tree, CollectiveKind::kGather, n, slow);
-    const double gather_f = simulate_makespan(
-        tree, *gather_plan_f, config.sim, &injector);
-    const double gather_s = simulate_makespan(
-        tree, *gather_plan_s, config.sim, &injector);
-    table.gather_factor[row][col] = gather_s / gather_f;
-
-    const auto bcast_plan_f =
-        cached_plan(tree, CollectiveKind::kBroadcast, n, fast);
-    const auto bcast_plan_s =
-        cached_plan(tree, CollectiveKind::kBroadcast, n, slow);
-    const double bcast_f = simulate_makespan(
-        tree, *bcast_plan_f, config.sim, &injector);
-    const double bcast_s = simulate_makespan(
-        tree, *bcast_plan_s, config.sim, &injector);
-    table.broadcast_factor[row][col] = bcast_s / bcast_f;
+    const auto slow_over_fast = [&](CollectiveKind kind) {
+      const auto request = [&](int root_pid) {
+        return PlanRequest{.kind = kind,
+                           .n = n,
+                           .root_pid = root_pid,
+                           .shares = Shares::kEqual};
+      };
+      return improvement_factor(tree, request(slow), request(fast),
+                                config.sim, &injector);
+    };
+    table.gather_factor[row][col] = slow_over_fast(CollectiveKind::kGather);
+    table.broadcast_factor[row][col] =
+        slow_over_fast(CollectiveKind::kBroadcast);
   });
   // The chaos grid shards through the pool directly (two collectives per
   // cell), so it keeps its own cell accounting beside the sweep.* family.
@@ -222,11 +129,6 @@ ChaosTable chaos_sweep(const ChaosConfig& config, SweepRunner& runner) {
   registry.gauge("chaos.steals").set(
       static_cast<double>(runner.pool().last_steals()));
   return table;
-}
-
-ChaosTable chaos_sweep(const ChaosConfig& config) {
-  SweepRunner runner{config.threads};
-  return chaos_sweep(config, runner);
 }
 
 }  // namespace hbsp::exp

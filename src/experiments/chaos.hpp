@@ -21,10 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "experiments/figures.hpp"
 #include "experiments/sweep.hpp"
 #include "faults/fault_plan.hpp"
-#include "faults/injector.hpp"
 #include "sim/sim_params.hpp"
 #include "util/table.hpp"
 
@@ -49,7 +47,6 @@ struct ChaosConfig {
                                    .slowdown_max_factor = 8.0,
                                    .slowdown_max_duration = 0.1};
   std::uint64_t master_seed = 7001;
-  int threads = 1;  ///< sweep worker threads; < 1 uses the hardware count
 };
 
 /// T_s/T_f factors over the fault grid, [fault_rate][loss_prob].
@@ -74,24 +71,12 @@ struct ChaosTable {
 /// exact text.
 [[nodiscard]] std::string chaos_csv(const ChaosTable& table);
 
-/// Writes chaos_csv(table) to `path` (RFC-4180, via util::CsvWriter).
-void write_chaos_csv(const ChaosTable& table, const std::string& path);
-
-/// Fig 3(a)/4(a) sweeps with a caller-supplied fault plan applied to every
-/// cell (entries for pids outside a cell's machine are inert). With an empty
-/// plan the tables equal gather_root_experiment / broadcast_root_experiment
-/// bit for bit — the injection layer is cost-free when disabled.
-[[nodiscard]] ImprovementTable gather_root_experiment_with_faults(
-    const FigureConfig& config, const faults::FaultPlan& plan,
-    SweepRunner& runner);
-[[nodiscard]] ImprovementTable broadcast_root_experiment_with_faults(
-    const FigureConfig& config, const faults::FaultPlan& plan,
-    SweepRunner& runner);
-
-/// Runs the chaos grid: each cell draws its FaultPlan from the master seed
-/// and its grid position, then prices both root placements for gather and
-/// broadcast under that shared disturbance.
-[[nodiscard]] ChaosTable chaos_sweep(const ChaosConfig& config);
+/// Runs the chaos grid on the runner's pool: each cell draws its FaultPlan
+/// from the master seed and its grid position, then takes the Fig 3(a) and
+/// Fig 4(a) improvement_factor (slowest root over fastest, equal shares) on
+/// the one p-processor testbed under that shared disturbance. With an empty
+/// plan a cell equals the fault-free figure cell bit for bit: the injection
+/// layer is cost-free when disabled.
 [[nodiscard]] ChaosTable chaos_sweep(const ChaosConfig& config,
                                      SweepRunner& runner);
 

@@ -3,53 +3,51 @@
 #include <string>
 
 #include "collectives/plan_cache.hpp"
-#include "collectives/planners.hpp"
 #include "core/topology.hpp"
 #include "experiments/scenario_cache.hpp"
-#include "sim/cluster_sim.hpp"
-#include "util/units.hpp"
 
 namespace hbsp::exp {
 namespace {
 
 using coll::CollectiveKind;
-using coll::PlanCache;
 using coll::PlanRequest;
 using coll::Shares;
-using coll::TopPhase;
 
-/// The memoized plan for a gather request (the cells' most common shape).
-std::shared_ptr<const coll::CachedPlan> cached_gather(const MachineTree& tree,
-                                                      std::size_t n,
-                                                      int root_pid,
-                                                      Shares shares) {
-  return PlanCache::global().get(tree,
-                                 PlanRequest{.kind = CollectiveKind::kGather,
-                                             .n = n,
-                                             .root_pid = root_pid,
-                                             .shares = shares});
-}
+/// What a figure compares: root slowest vs fastest at equal shares (3a, 4a)
+/// or equal vs balanced shares at the fastest root (3b, 4b).
+enum class Comparison { kRoot, kBalance };
 
-/// The memoized plan for a two-phase broadcast request.
-std::shared_ptr<const coll::CachedPlan> cached_broadcast(
-    const MachineTree& tree, std::size_t n, int root_pid, Shares shares) {
-  return PlanCache::global().get(tree,
-                                 PlanRequest{.kind = CollectiveKind::kBroadcast,
-                                             .n = n,
-                                             .root_pid = root_pid,
-                                             .shares = shares,
-                                             .top_phase = TopPhase::kTwoPhase});
-}
-
-SweepGrid grid_of(const FigureConfig& config) {
-  return {config.processors, config.kbytes, config.noise.seed};
-}
-
-/// The cell's private BYTEmark noise stream: same sigma as the config, seed
-/// split from the master by the cell's grid position.
-bytemark::NoiseOptions cell_noise(const FigureConfig& config,
-                                  const SweepCell& cell) {
-  return {.stddev = config.noise.stddev, .seed = cell.seed};
+/// The one body of the four figure sweeps. Root cells run on the true
+/// testbed; balance cells on the cell's BYTEmark-ranked one, whose noise
+/// stream has the config's sigma and a seed split from the master by the
+/// cell's grid position.
+ImprovementTable figure_sweep(const FigureConfig& config, SweepRunner& runner,
+                              CollectiveKind kind, Comparison comparison) {
+  return runner.run(
+      {config.processors, config.kbytes, config.noise.seed},
+      [&config, kind, comparison](const SweepCell& cell) {
+        const bool balance = comparison == Comparison::kBalance;
+        const MachineTree tree =
+            balance ? make_ranked_testbed(
+                          cell.p, config,
+                          {.stddev = config.noise.stddev, .seed = cell.seed})
+                    : make_paper_testbed(cell.p, config.g, config.L);
+        const int fast = tree.coordinator_pid(tree.root());
+        const auto request = [&](int root_pid, Shares shares) {
+          return PlanRequest{.kind = kind,
+                             .n = cell.n,
+                             .root_pid = root_pid,
+                             .shares = shares};
+        };
+        if (balance) {
+          return improvement_factor(tree, request(fast, Shares::kEqual),
+                                    request(fast, Shares::kBalanced),
+                                    config.sim);
+        }
+        return improvement_factor(
+            tree, request(tree.slowest_pid(tree.root()), Shares::kEqual),
+            request(fast, Shares::kEqual), config.sim);
+      });
 }
 
 }  // namespace
@@ -64,10 +62,6 @@ double simulate_makespan(const MachineTree& tree, const coll::CachedPlan& plan,
                          const sim::SimParams& params,
                          const faults::FaultInjector* injector) {
   return ScenarioCache::global().makespan(tree, plan, params, injector);
-}
-
-MachineTree make_ranked_testbed(int p, const FigureConfig& config) {
-  return make_ranked_testbed(p, config, config.noise);
 }
 
 MachineTree make_ranked_testbed(int p, const FigureConfig& config,
@@ -91,80 +85,43 @@ MachineTree make_ranked_testbed(int p, const FigureConfig& config,
   return MachineTree::build(root, config.g);
 }
 
+double improvement_factor(const MachineTree& tree,
+                          const PlanRequest& numerator,
+                          const PlanRequest& denominator,
+                          const sim::SimParams& params,
+                          const faults::FaultInjector* injector) {
+  auto& plans = coll::PlanCache::global();
+  const auto plan_denominator = plans.get(tree, denominator);
+  const auto plan_numerator = plans.get(tree, numerator);
+  const double t_denominator =
+      simulate_makespan(tree, *plan_denominator, params, injector);
+  const double t_numerator =
+      simulate_makespan(tree, *plan_numerator, params, injector);
+  return t_numerator / t_denominator;
+}
+
 ImprovementTable gather_root_experiment(const FigureConfig& config,
                                         SweepRunner& runner) {
-  return runner.run(grid_of(config), [&config](const SweepCell& cell) {
-    const MachineTree tree = make_paper_testbed(cell.p, config.g, config.L);
-    const int fast = tree.coordinator_pid(tree.root());
-    const int slow = tree.slowest_pid(tree.root());
-    const auto plan_f = cached_gather(tree, cell.n, fast, Shares::kEqual);
-    const auto plan_s = cached_gather(tree, cell.n, slow, Shares::kEqual);
-    const double t_f = simulate_makespan(tree, *plan_f, config.sim);
-    const double t_s = simulate_makespan(tree, *plan_s, config.sim);
-    return t_s / t_f;
-  });
+  return figure_sweep(config, runner, CollectiveKind::kGather,
+                      Comparison::kRoot);
 }
 
 ImprovementTable gather_balance_experiment(const FigureConfig& config,
                                            SweepRunner& runner) {
-  return runner.run(grid_of(config), [&config](const SweepCell& cell) {
-    const MachineTree tree =
-        make_ranked_testbed(cell.p, config, cell_noise(config, cell));
-    const int fast = tree.coordinator_pid(tree.root());
-    const auto plan_u = cached_gather(tree, cell.n, fast, Shares::kEqual);
-    const auto plan_b = cached_gather(tree, cell.n, fast, Shares::kBalanced);
-    const double t_u = simulate_makespan(tree, *plan_u, config.sim);
-    const double t_b = simulate_makespan(tree, *plan_b, config.sim);
-    return t_u / t_b;
-  });
+  return figure_sweep(config, runner, CollectiveKind::kGather,
+                      Comparison::kBalance);
 }
 
 ImprovementTable broadcast_root_experiment(const FigureConfig& config,
                                            SweepRunner& runner) {
-  return runner.run(grid_of(config), [&config](const SweepCell& cell) {
-    const MachineTree tree = make_paper_testbed(cell.p, config.g, config.L);
-    const int fast = tree.coordinator_pid(tree.root());
-    const int slow = tree.slowest_pid(tree.root());
-    const auto plan_f = cached_broadcast(tree, cell.n, fast, Shares::kEqual);
-    const auto plan_s = cached_broadcast(tree, cell.n, slow, Shares::kEqual);
-    const double t_f = simulate_makespan(tree, *plan_f, config.sim);
-    const double t_s = simulate_makespan(tree, *plan_s, config.sim);
-    return t_s / t_f;
-  });
+  return figure_sweep(config, runner, CollectiveKind::kBroadcast,
+                      Comparison::kRoot);
 }
 
 ImprovementTable broadcast_balance_experiment(const FigureConfig& config,
                                               SweepRunner& runner) {
-  return runner.run(grid_of(config), [&config](const SweepCell& cell) {
-    const MachineTree tree =
-        make_ranked_testbed(cell.p, config, cell_noise(config, cell));
-    const int fast = tree.coordinator_pid(tree.root());
-    const auto plan_u = cached_broadcast(tree, cell.n, fast, Shares::kEqual);
-    const auto plan_b = cached_broadcast(tree, cell.n, fast, Shares::kBalanced);
-    const double t_u = simulate_makespan(tree, *plan_u, config.sim);
-    const double t_b = simulate_makespan(tree, *plan_b, config.sim);
-    return t_u / t_b;
-  });
-}
-
-ImprovementTable gather_root_experiment(const FigureConfig& config) {
-  SweepRunner runner{config.threads};
-  return gather_root_experiment(config, runner);
-}
-
-ImprovementTable gather_balance_experiment(const FigureConfig& config) {
-  SweepRunner runner{config.threads};
-  return gather_balance_experiment(config, runner);
-}
-
-ImprovementTable broadcast_root_experiment(const FigureConfig& config) {
-  SweepRunner runner{config.threads};
-  return broadcast_root_experiment(config, runner);
-}
-
-ImprovementTable broadcast_balance_experiment(const FigureConfig& config) {
-  SweepRunner runner{config.threads};
-  return broadcast_balance_experiment(config, runner);
+  return figure_sweep(config, runner, CollectiveKind::kBroadcast,
+                      Comparison::kBalance);
 }
 
 }  // namespace hbsp::exp

@@ -17,10 +17,12 @@
 // c_j estimated from a simulated BYTEmark run (with measurement noise, as on
 // the paper's non-dedicated cluster), not the true r values.
 //
-// All four sweeps execute on the SweepRunner engine (sweep.hpp): grid cells
-// are independent, so they shard across `threads` workers, and each cell's
-// BYTEmark noise stream is split from `noise.seed` (the master seed) by the
-// cell's grid position — the table is bit-identical at any thread count.
+// Every cell of every sweep, and of the chaos grid (chaos.hpp), is one
+// improvement_factor call. All four sweeps execute on a caller-owned
+// SweepRunner (sweep.hpp): grid cells are independent, so they shard across
+// the runner's workers, and each cell's BYTEmark noise stream is split from
+// `noise.seed` (the master seed) by the cell's grid position — the table is
+// bit-identical at any thread count.
 
 #include <cstddef>
 #include <vector>
@@ -47,7 +49,6 @@ struct FigureConfig {
   bytemark::NoiseOptions noise{.stddev = 0.05, .seed = 2001};
   double g = 1e-6;
   double L = 2e-3;
-  int threads = 1;  ///< sweep worker threads; < 1 uses the hardware count
 };
 
 /// Simulated makespan of a schedule on a machine, optionally with a fault
@@ -72,25 +73,26 @@ struct FigureConfig {
 /// noisy simulated BYTEmark run (true r values, estimated c values) — the
 /// machine description a practitioner following §5.1 would actually have.
 /// `noise` is the per-cell stream inside sweeps, config.noise elsewhere.
-[[nodiscard]] MachineTree make_ranked_testbed(int p, const FigureConfig& config);
 [[nodiscard]] MachineTree make_ranked_testbed(
     int p, const FigureConfig& config, const bytemark::NoiseOptions& noise);
 
-// Each experiment comes in two forms: the one-shot form spins up a private
-// runner with config.threads workers; the runner form reuses a caller-owned
-// runner (and its pool) so benches can observe counters and amortise thread
-// startup across sweeps.
-[[nodiscard]] ImprovementTable gather_root_experiment(const FigureConfig& config);
+/// One experiment cell: T_numerator / T_denominator, the simulated makespans
+/// of two plans of one collective on `tree`. Both plans come from
+/// coll::PlanCache::global() and both runs from simulate_makespan, with
+/// `injector` (nullptr: fault-free) attached to each.
+[[nodiscard]] double improvement_factor(
+    const MachineTree& tree, const coll::PlanRequest& numerator,
+    const coll::PlanRequest& denominator, const sim::SimParams& params,
+    const faults::FaultInjector* injector = nullptr);
+
+// The four figure sweeps run on a caller-owned runner (and its pool), so
+// benches observe its counters and amortise thread startup across sweeps.
 [[nodiscard]] ImprovementTable gather_root_experiment(const FigureConfig& config,
                                                       SweepRunner& runner);
-[[nodiscard]] ImprovementTable gather_balance_experiment(const FigureConfig& config);
 [[nodiscard]] ImprovementTable gather_balance_experiment(
     const FigureConfig& config, SweepRunner& runner);
-[[nodiscard]] ImprovementTable broadcast_root_experiment(const FigureConfig& config);
 [[nodiscard]] ImprovementTable broadcast_root_experiment(
     const FigureConfig& config, SweepRunner& runner);
-[[nodiscard]] ImprovementTable broadcast_balance_experiment(
-    const FigureConfig& config);
 [[nodiscard]] ImprovementTable broadcast_balance_experiment(
     const FigureConfig& config, SweepRunner& runner);
 

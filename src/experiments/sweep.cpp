@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/csv.hpp"
 #include "util/units.hpp"
 
 namespace hbsp::exp {
@@ -61,21 +60,6 @@ std::string improvement_csv(const ImprovementTable& table) {
     text += '\n';
   }
   return text;
-}
-
-void write_improvement_csv(const ImprovementTable& table,
-                           const std::string& path) {
-  util::CsvWriter csv{path};
-  std::vector<std::string> header{"p"};
-  for (const std::size_t kb : table.kbytes) header.push_back(std::to_string(kb));
-  csv.write_row(header);
-  for (std::size_t i = 0; i < table.processors.size(); ++i) {
-    std::vector<std::string> row{std::to_string(table.processors[i])};
-    for (const double f : table.factor[i]) {
-      row.push_back(util::Table::num(f, 4));
-    }
-    csv.write_row(row);
-  }
 }
 
 util::Table SweepCounters::to_table(const std::string& title) const {

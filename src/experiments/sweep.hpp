@@ -62,10 +62,6 @@ struct ImprovementTable {
 /// what the golden-file tests pin, so benches and tests share it.
 [[nodiscard]] std::string improvement_csv(const ImprovementTable& table);
 
-/// Writes improvement_csv(table) to `path` (RFC-4180, via util::CsvWriter).
-void write_improvement_csv(const ImprovementTable& table,
-                           const std::string& path);
-
 /// Throughput counters from the last SweepRunner::run, reported through
 /// util::stats so benches can print observable cells/sec and per-cell wall
 /// clock distributions.

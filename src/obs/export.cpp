@@ -3,8 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 
 namespace hbsp::obs {
 namespace {
@@ -127,18 +125,6 @@ std::string snapshot_json(const MetricsSnapshot& snapshot, int indent) {
   out += pad(indent);
   out += '}';
   return out;
-}
-
-void write_snapshot_json(const MetricsSnapshot& snapshot,
-                         const std::string& path) {
-  std::ofstream out{path};
-  if (!out) {
-    throw std::runtime_error{"write_snapshot_json: cannot open " + path};
-  }
-  out << snapshot_json(snapshot) << '\n';
-  if (!out) {
-    throw std::runtime_error{"write_snapshot_json: write failed: " + path};
-  }
 }
 
 }  // namespace hbsp::obs

@@ -40,9 +40,4 @@ namespace hbsp::obs {
 [[nodiscard]] std::string snapshot_json(const MetricsSnapshot& snapshot,
                                         int indent = 0);
 
-/// Writes snapshot_json (plus a trailing newline) to `path`; throws
-/// std::runtime_error when the file cannot be written.
-void write_snapshot_json(const MetricsSnapshot& snapshot,
-                         const std::string& path);
-
 }  // namespace hbsp::obs

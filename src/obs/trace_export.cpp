@@ -1,12 +1,11 @@
 #include "obs/trace_export.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
-#include <stdexcept>
 #include <vector>
 
 #include "obs/export.hpp"
+#include "util/text_file.hpp"
 
 namespace hbsp::obs {
 
@@ -89,14 +88,7 @@ std::string chrome_trace_json(const TraceSnapshot& snapshot,
 
 void write_chrome_trace(const TraceSnapshot& snapshot, const std::string& path,
                         TraceFilter filter) {
-  std::ofstream out{path};
-  if (!out) {
-    throw std::runtime_error{"write_chrome_trace: cannot open " + path};
-  }
-  out << chrome_trace_json(snapshot, filter);
-  if (!out) {
-    throw std::runtime_error{"write_chrome_trace: write failed for " + path};
-  }
+  util::write_text_file(path, chrome_trace_json(snapshot, filter));
 }
 
 util::Table self_time_table(const TraceSnapshot& snapshot, std::size_t top_n) {

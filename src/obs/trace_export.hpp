@@ -36,8 +36,8 @@ enum class TraceFilter : std::uint8_t { kAll, kVirtualOnly, kWallOnly };
 [[nodiscard]] std::string chrome_trace_json(const TraceSnapshot& snapshot,
                                             TraceFilter filter = TraceFilter::kAll);
 
-/// Writes chrome_trace_json to `path`; throws std::runtime_error when the
-/// file cannot be written.
+/// Writes chrome_trace_json to `path` through util::write_text_file; throws
+/// std::runtime_error when any of it cannot be written.
 void write_chrome_trace(const TraceSnapshot& snapshot, const std::string& path,
                         TraceFilter filter = TraceFilter::kAll);
 

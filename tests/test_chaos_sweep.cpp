@@ -1,6 +1,6 @@
 // Determinism and golden-pin tests for the chaos sweep: the fault grid must
-// be bit-identical at any thread count, a zero-fault plan must reproduce the
-// fault-free figure sweeps exactly, and the default-config chaos table is
+// be bit-identical at any thread count, an empty fault plan must reproduce
+// the fault-free figure cells exactly, and the default-config chaos table is
 // pinned against a checked-in CSV (regenerate with
 // `bench/chaos_sweep --csv tests/golden/chaos_sweep.csv` or
 // ci/regen_goldens.sh — see EXPERIMENTS.md).
@@ -10,9 +10,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
+#include "core/topology.hpp"
 #include "experiments/chaos.hpp"
 #include "experiments/figures.hpp"
+#include "util/units.hpp"
 
 namespace hbsp::exp {
 namespace {
@@ -68,21 +71,39 @@ TEST(ChaosSweep, ZeroFaultRowEqualsTheFaultFreeFactor) {
 }
 
 TEST(ChaosSweep, EmptyPlanReproducesTheFigureSweepsExactly) {
-  // The full with-faults experiment entry points, driven with an empty
-  // FaultPlan, must equal the fault-free sweeps bit for bit: the injection
-  // layer is cost-free when disabled.
+  // The chaos cell (improvement_factor with an injector attached), driven
+  // with an empty FaultPlan, must equal every fault-free Fig 3(a)/4(a) cell
+  // bit for bit: the injection layer is cost-free when disabled.
   FigureConfig config;
   config.processors = {2, 4, 7, 10};
   config.kbytes = {100, 500, 1000};
   SweepRunner runner{4};
-  EXPECT_EQ(
-      gather_root_experiment_with_faults(config, faults::FaultPlan{}, runner)
-          .factor,
-      gather_root_experiment(config, runner).factor);
-  EXPECT_EQ(broadcast_root_experiment_with_faults(config, faults::FaultPlan{},
-                                                  runner)
-                .factor,
-            broadcast_root_experiment(config, runner).factor);
+  const faults::FaultInjector empty{faults::FaultPlan{}};
+  const ImprovementTable gather = gather_root_experiment(config, runner);
+  const ImprovementTable broadcast = broadcast_root_experiment(config, runner);
+  for (std::size_t row = 0; row < config.processors.size(); ++row) {
+    const MachineTree tree =
+        make_paper_testbed(config.processors[row], config.g, config.L);
+    const int fast = tree.coordinator_pid(tree.root());
+    const int slow = tree.slowest_pid(tree.root());
+    for (std::size_t col = 0; col < config.kbytes.size(); ++col) {
+      const auto request = [&](coll::CollectiveKind kind, int root_pid) {
+        return coll::PlanRequest{.kind = kind,
+                                 .n = util::ints_in_kbytes(config.kbytes[col]),
+                                 .root_pid = root_pid,
+                                 .shares = coll::Shares::kEqual};
+      };
+      for (const auto& [kind, table] :
+           {std::pair{coll::CollectiveKind::kGather, &gather},
+            std::pair{coll::CollectiveKind::kBroadcast, &broadcast}}) {
+        EXPECT_EQ(improvement_factor(tree, request(kind, slow),
+                                     request(kind, fast), config.sim, &empty),
+                  table->factor[row][col])
+            << "p=" << config.processors[row]
+            << " kbytes=" << config.kbytes[col];
+      }
+    }
+  }
 }
 
 TEST(ChaosSweep, FaultsActuallyPerturbTheGrid) {

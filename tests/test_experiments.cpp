@@ -24,7 +24,8 @@ FigureConfig tiny() {
 }
 
 TEST(Sweep, TableShapeFollowsConfig) {
-  const auto table = gather_root_experiment(tiny());
+  SweepRunner runner;
+  const auto table = gather_root_experiment(tiny(), runner);
   ASSERT_EQ(table.processors, (std::vector<int>{2, 4}));
   ASSERT_EQ(table.kbytes, (std::vector<std::size_t>{100, 200}));
   ASSERT_EQ(table.factor.size(), 2u);
@@ -36,10 +37,11 @@ TEST(Sweep, TableShapeFollowsConfig) {
 
 TEST(Sweep, AllFourExperimentsProduceFiniteFactors) {
   const FigureConfig config = tiny();
-  for (const auto& table :
-       {gather_root_experiment(config), gather_balance_experiment(config),
-        broadcast_root_experiment(config),
-        broadcast_balance_experiment(config)}) {
+  SweepRunner runner;
+  for (const auto& table : {gather_root_experiment(config, runner),
+                            gather_balance_experiment(config, runner),
+                            broadcast_root_experiment(config, runner),
+                            broadcast_balance_experiment(config, runner)}) {
     for (const auto& row : table.factor) {
       for (const double f : row) {
         EXPECT_TRUE(std::isfinite(f));
@@ -54,19 +56,22 @@ TEST(Sweep, SimParamsPropagate) {
   FigureConfig fast = tiny();
   FigureConfig slow = tiny();
   slow.sim.recv_ratio = 0.95;  // changes the balance of send/receive costs
-  EXPECT_NE(gather_root_experiment(fast).factor,
-            gather_root_experiment(slow).factor);
+  SweepRunner runner;
+  EXPECT_NE(gather_root_experiment(fast, runner).factor,
+            gather_root_experiment(slow, runner).factor);
 }
 
 TEST(Sweep, NoiseSeedChangesOnlyBalanceExperiments) {
   FigureConfig a = tiny();
   FigureConfig b = tiny();
   b.noise.seed = a.noise.seed + 1;
+  SweepRunner runner;
   // Root-choice experiments never consult BYTEmark.
-  EXPECT_EQ(gather_root_experiment(a).factor, gather_root_experiment(b).factor);
+  EXPECT_EQ(gather_root_experiment(a, runner).factor,
+            gather_root_experiment(b, runner).factor);
   // Balance experiments use the estimated c, which depends on the seed.
-  EXPECT_NE(gather_balance_experiment(a).factor,
-            gather_balance_experiment(b).factor);
+  EXPECT_NE(gather_balance_experiment(a, runner).factor,
+            gather_balance_experiment(b, runner).factor);
 }
 
 TEST(SimulateMakespan, MatchesDirectSimulatorUse) {
@@ -80,7 +85,7 @@ TEST(SimulateMakespan, MatchesDirectSimulatorUse) {
 TEST(RankedTestbed, SharesSumToOne) {
   const FigureConfig config;
   for (const int p : {2, 5, 10}) {
-    const MachineTree tree = make_ranked_testbed(p, config);
+    const MachineTree tree = make_ranked_testbed(p, config, config.noise);
     double total = 0.0;
     for (int pid = 0; pid < p; ++pid) {
       total += tree.c(tree.processor(pid));
@@ -92,7 +97,7 @@ TEST(RankedTestbed, SharesSumToOne) {
 TEST(RankedTestbed, ZeroNoiseReproducesIdealShares) {
   FigureConfig config;
   config.noise.stddev = 0.0;
-  const MachineTree ranked = make_ranked_testbed(6, config);
+  const MachineTree ranked = make_ranked_testbed(6, config, config.noise);
   const MachineTree ideal = make_paper_testbed(6, config.g, config.L);
   for (int pid = 0; pid < 6; ++pid) {
     EXPECT_NEAR(ranked.c(ranked.processor(pid)), ideal.c(ideal.processor(pid)),
@@ -101,7 +106,8 @@ TEST(RankedTestbed, ZeroNoiseReproducesIdealShares) {
 }
 
 TEST(ImprovementTable, RendersWithUnits) {
-  const auto table = gather_root_experiment(tiny());
+  SweepRunner runner;
+  const auto table = gather_root_experiment(tiny(), runner);
   const util::Table rendered = table.to_table("t");
   EXPECT_EQ(rendered.rows(), 2u);
   EXPECT_EQ(rendered.columns(), 3u);  // "p" + two sizes

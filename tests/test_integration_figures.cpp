@@ -22,12 +22,14 @@ FigureConfig mini_config() {
 TEST(Figure3a, SlowRootWinsAtP2) {
   // §5.2: "it is better for the root node to be the slowest workstation" at
   // p = 2 — the improvement factor T_s/T_f dips below 1.
-  const ImprovementTable table = gather_root_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable table = gather_root_experiment(mini_config(), runner);
   for (const double factor : table.factor[0]) EXPECT_LT(factor, 1.0);
 }
 
 TEST(Figure3a, ImprovementGrowsWithP) {
-  const ImprovementTable table = gather_root_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable table = gather_root_experiment(mini_config(), runner);
   for (std::size_t col = 0; col < table.kbytes.size(); ++col) {
     for (std::size_t row = 1; row < table.processors.size(); ++row) {
       EXPECT_GT(table.factor[row][col], table.factor[row - 1][col])
@@ -41,7 +43,8 @@ TEST(Figure3a, ImprovementGrowsWithP) {
 
 TEST(Figure3a, SteadyAcrossProblemSizes) {
   // "The improvement factor is steady across all problem sizes."
-  const ImprovementTable table = gather_root_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable table = gather_root_experiment(mini_config(), runner);
   for (std::size_t row = 0; row < table.processors.size(); ++row) {
     const auto [lo, hi] = std::minmax_element(table.factor[row].begin(),
                                               table.factor[row].end());
@@ -50,14 +53,18 @@ TEST(Figure3a, SteadyAcrossProblemSizes) {
 }
 
 TEST(Figure3b, BalancingHelpsClearlyAtP2) {
-  const ImprovementTable table = gather_balance_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable table =
+      gather_balance_experiment(mini_config(), runner);
   for (const double factor : table.factor[0]) EXPECT_GT(factor, 1.3);
 }
 
 TEST(Figure3b, VirtuallyNoBenefitAtLargeP) {
   // §5.2: "there is virtually no benefit to distributing the workload based
   // on a processor's computational abilities, except at p = 2."
-  const ImprovementTable table = gather_balance_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable table =
+      gather_balance_experiment(mini_config(), runner);
   for (std::size_t row = 2; row < table.processors.size(); ++row) {
     for (const double factor : table.factor[row]) {
       EXPECT_LT(factor, 1.1) << "p=" << table.processors[row];
@@ -69,8 +76,10 @@ TEST(Figure3b, VirtuallyNoBenefitAtLargeP) {
 TEST(Figure4a, BroadcastImprovementIsSmall) {
   // §5.3: "negligible improvement in performance" from the fast root; far
   // smaller than gather's, and bounded across the sweep.
-  const ImprovementTable bcast = broadcast_root_experiment(mini_config());
-  const ImprovementTable gather = gather_root_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable bcast =
+      broadcast_root_experiment(mini_config(), runner);
+  const ImprovementTable gather = gather_root_experiment(mini_config(), runner);
   for (std::size_t row = 0; row < bcast.processors.size(); ++row) {
     for (std::size_t col = 0; col < bcast.kbytes.size(); ++col) {
       EXPECT_LT(bcast.factor[row][col], 1.35);
@@ -85,7 +94,9 @@ TEST(Figure4b, NoBenefitFromBalancedBroadcast) {
   // §5.3: every processor must receive all n items; at scale the factor sits
   // at 1 (small p retains a modest scatter-phase benefit under our
   // substrate — see EXPERIMENTS.md).
-  const ImprovementTable table = broadcast_balance_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable table =
+      broadcast_balance_experiment(mini_config(), runner);
   for (std::size_t row = 0; row < table.processors.size(); ++row) {
     for (const double factor : table.factor[row]) {
       EXPECT_LT(factor, 1.3);
@@ -99,13 +110,15 @@ TEST(Figure4b, NoBenefitFromBalancedBroadcast) {
 }
 
 TEST(Figures, DeterministicAcrossRuns) {
-  const ImprovementTable a = gather_root_experiment(mini_config());
-  const ImprovementTable b = gather_root_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable a = gather_root_experiment(mini_config(), runner);
+  const ImprovementTable b = gather_root_experiment(mini_config(), runner);
   EXPECT_EQ(a.factor, b.factor);
 }
 
 TEST(Figures, TableRendering) {
-  const ImprovementTable table = gather_root_experiment(mini_config());
+  SweepRunner runner;
+  const ImprovementTable table = gather_root_experiment(mini_config(), runner);
   const util::Table rendered = table.to_table("check");
   EXPECT_EQ(rendered.rows(), table.processors.size());
   EXPECT_EQ(rendered.columns(), table.kbytes.size() + 1);
@@ -113,7 +126,7 @@ TEST(Figures, TableRendering) {
 
 TEST(RankedTestbed, UsesTrueRAndEstimatedC) {
   FigureConfig config;
-  const MachineTree ranked = make_ranked_testbed(5, config);
+  const MachineTree ranked = make_ranked_testbed(5, config, config.noise);
   const MachineTree truth = make_paper_testbed(5, config.g, config.L);
   for (int pid = 0; pid < 5; ++pid) {
     EXPECT_DOUBLE_EQ(ranked.processor_r(pid), truth.processor_r(pid));

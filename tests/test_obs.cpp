@@ -34,13 +34,12 @@ using obs::Registry;
 
 /// The chaos config every thread-count test shares: small but non-trivial,
 /// with both slowdowns and message loss active.
-exp::ChaosConfig small_chaos(int threads) {
+exp::ChaosConfig small_chaos() {
   exp::ChaosConfig config;
   config.fault_rates = {0.0, 2.0};
   config.loss_probs = {0.0, 0.05};
   config.p = 4;
   config.kbytes = 200;
-  config.threads = threads;
   return config;
 }
 
@@ -280,14 +279,14 @@ TEST(ObsSweep, ChaosCountersAreThreadCountInvariant) {
   coll::PlanCache::global().clear();
   exp::ScenarioCache::global().clear();
   exp::SweepRunner serial{1};
-  (void)exp::chaos_sweep(small_chaos(1), serial);
+  (void)exp::chaos_sweep(small_chaos(), serial);
   const auto counters_t1 = counter_map(registry.snapshot());
 
   registry.reset();
   coll::PlanCache::global().clear();
   exp::ScenarioCache::global().clear();
   exp::SweepRunner parallel{4};
-  (void)exp::chaos_sweep(small_chaos(4), parallel);
+  (void)exp::chaos_sweep(small_chaos(), parallel);
   const auto counters_t4 = counter_map(registry.snapshot());
 
   EXPECT_EQ(counters_t1, counters_t4);

@@ -131,12 +131,13 @@ TEST(PlanCacheDifferential, ColdAndWarmSweepCsvsAreByteIdentical) {
   config.processors = {2, 3, 4};
   config.kbytes = {100, 300};
 
+  exp::SweepRunner runner;
   PlanCache::global().clear();
   exp::ScenarioCache::global().clear();
   const std::string cold =
-      exp::improvement_csv(exp::gather_root_experiment(config));
+      exp::improvement_csv(exp::gather_root_experiment(config, runner));
   const std::string warm =
-      exp::improvement_csv(exp::gather_root_experiment(config));
+      exp::improvement_csv(exp::gather_root_experiment(config, runner));
   EXPECT_EQ(cold, warm);
 
   exp::ChaosConfig chaos;
@@ -146,8 +147,10 @@ TEST(PlanCacheDifferential, ColdAndWarmSweepCsvsAreByteIdentical) {
   chaos.kbytes = 200;
   PlanCache::global().clear();
   exp::ScenarioCache::global().clear();
-  const std::string chaos_cold = exp::chaos_csv(exp::chaos_sweep(chaos));
-  const std::string chaos_warm = exp::chaos_csv(exp::chaos_sweep(chaos));
+  const std::string chaos_cold =
+      exp::chaos_csv(exp::chaos_sweep(chaos, runner));
+  const std::string chaos_warm =
+      exp::chaos_csv(exp::chaos_sweep(chaos, runner));
   EXPECT_EQ(chaos_cold, chaos_warm);
 }
 

@@ -1,9 +1,8 @@
 // Determinism regression tests for the parallel sweep engine: every figure
 // sweep must produce bit-identical tables (exact double equality) at 1, 2,
-// and 8 threads, and the Fig 3(a)/4(a) improvement factors are pinned
+// and 8 threads, and the improvement factors of all four figures are pinned
 // against golden CSVs checked in under tests/golden/ (regenerate with
-// `bench/fig3a_gather_root --csv tests/golden/fig3a.csv` — see
-// EXPERIMENTS.md).
+// ci/regen_goldens.sh — see EXPERIMENTS.md).
 
 #include <gtest/gtest.h>
 
@@ -90,14 +89,6 @@ TEST(SweepDeterminism, RepeatedRunsOnOneRunnerAreIdentical) {
   EXPECT_EQ(first.factor, second.factor);
 }
 
-TEST(SweepDeterminism, OneShotFormMatchesRunnerForm) {
-  FigureConfig config = small_config();
-  config.threads = 8;
-  SweepRunner runner{3};
-  EXPECT_EQ(gather_root_experiment(config).factor,
-            gather_root_experiment(config, runner).factor);
-}
-
 TEST(SweepDeterminism, CountersObserveTheSweep) {
   const FigureConfig config = small_config();
   SweepRunner runner{2};
@@ -111,25 +102,39 @@ TEST(SweepDeterminism, CountersObserveTheSweep) {
   EXPECT_GE(counters.cell_seconds.max, counters.cell_seconds.mean);
 }
 
-// Golden pins: the full default-config Fig 3(a)/4(a) sweeps, rendered in the
-// benches' CSV format, must match the checked-in files byte for byte. These
-// catch any drift in the simulator, the planners, or the seed-splitting
-// scheme — all of which are part of the reproduction claim.
+// Golden pins: the full default-config sweeps of all four figures, rendered
+// in the benches' CSV format, must match the checked-in files byte for byte.
+// These catch any drift in the simulator, the planners, the BYTEmark ranking
+// or the seed-splitting scheme — all of which are part of the reproduction
+// claim.
+
+std::string golden(const char* file) {
+  return read_file(std::string{HBSPK_SOURCE_DIR} + "/tests/golden/" + file);
+}
 
 TEST(SweepGolden, Fig3aMatchesCheckedInCsv) {
   SweepRunner runner{8};
-  const ImprovementTable table =
-      gather_root_experiment(FigureConfig{}, runner);
-  EXPECT_EQ(improvement_csv(table),
-            read_file(std::string{HBSPK_SOURCE_DIR} + "/tests/golden/fig3a.csv"));
+  EXPECT_EQ(improvement_csv(gather_root_experiment(FigureConfig{}, runner)),
+            golden("fig3a.csv"));
+}
+
+TEST(SweepGolden, Fig3bMatchesCheckedInCsv) {
+  SweepRunner runner{8};
+  EXPECT_EQ(improvement_csv(gather_balance_experiment(FigureConfig{}, runner)),
+            golden("fig3b.csv"));
 }
 
 TEST(SweepGolden, Fig4aMatchesCheckedInCsv) {
   SweepRunner runner{8};
-  const ImprovementTable table =
-      broadcast_root_experiment(FigureConfig{}, runner);
-  EXPECT_EQ(improvement_csv(table),
-            read_file(std::string{HBSPK_SOURCE_DIR} + "/tests/golden/fig4a.csv"));
+  EXPECT_EQ(improvement_csv(broadcast_root_experiment(FigureConfig{}, runner)),
+            golden("fig4a.csv"));
+}
+
+TEST(SweepGolden, Fig4bMatchesCheckedInCsv) {
+  SweepRunner runner{8};
+  EXPECT_EQ(
+      improvement_csv(broadcast_balance_experiment(FigureConfig{}, runner)),
+      golden("fig4b.csv"));
 }
 
 }  // namespace

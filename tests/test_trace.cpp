@@ -56,11 +56,10 @@ void clear_caches() {
 }
 
 /// The trace goldens' grid: full span-kind coverage at committed-file size.
-exp::FigureConfig small_grid(int threads) {
+exp::FigureConfig small_grid() {
   exp::FigureConfig config;
   config.processors = {2, 6, 10};
   config.kbytes = {100, 500, 1000};
-  config.threads = threads;
   return config;
 }
 
@@ -72,7 +71,7 @@ std::string traced_fig3a_json(int threads) {
   recorder.clear();
   recorder.set_enabled(true);
   exp::SweepRunner runner{threads};
-  (void)exp::gather_root_experiment(small_grid(threads), runner);
+  (void)exp::gather_root_experiment(small_grid(), runner);
   recorder.set_enabled(false);
   return obs::chrome_trace_json(recorder.snapshot(),
                                 obs::TraceFilter::kVirtualOnly);
@@ -84,7 +83,7 @@ std::string traced_fig4a_json(int threads) {
   recorder.clear();
   recorder.set_enabled(true);
   exp::SweepRunner runner{threads};
-  (void)exp::broadcast_root_experiment(small_grid(threads), runner);
+  (void)exp::broadcast_root_experiment(small_grid(), runner);
   recorder.set_enabled(false);
   return obs::chrome_trace_json(recorder.snapshot(),
                                 obs::TraceFilter::kVirtualOnly);
@@ -242,7 +241,7 @@ TEST(TraceDeterminism, SimSpanCountsReconcileWithCounters) {
   recorder.clear();
   recorder.set_enabled(true);
   exp::SweepRunner runner{2};
-  (void)exp::gather_root_experiment(small_grid(2), runner);
+  (void)exp::gather_root_experiment(small_grid(), runner);
   recorder.set_enabled(false);
 
   const obs::TraceSnapshot trace = recorder.snapshot();
@@ -523,7 +522,7 @@ TEST(TraceDisabled, RecordsNothingAndLeavesCountersUntouched) {
     recorder.clear();
     recorder.set_enabled(tracing);
     exp::SweepRunner runner{2};
-    (void)exp::gather_root_experiment(small_grid(2), runner);
+    (void)exp::gather_root_experiment(small_grid(), runner);
     recorder.set_enabled(false);
     return registry.snapshot();
   };

@@ -1,4 +1,4 @@
-// Unit tests for Table, CsvWriter, Cli, unit formatting and Memo.
+// Unit tests for Table, write_text_file, Cli, unit formatting and Memo.
 
 #include <gtest/gtest.h>
 
@@ -10,13 +10,14 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
-#include "util/csv.hpp"
 #include "util/memo.hpp"
 #include "util/table.hpp"
+#include "util/text_file.hpp"
 #include "util/units.hpp"
 
 namespace hbsp::util {
@@ -58,25 +59,24 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(static_cast<long long>(-42)), "-42");
 }
 
-TEST(Csv, EscapesSpecials) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(Csv, WritesRowsToFile) {
-  const std::string path = testing::TempDir() + "hbspk_csv_test.csv";
-  {
-    CsvWriter csv{path};
-    csv.write_row({"a", "b,c"});
-    csv.write_row({"1", "2"});
-  }
-  std::ifstream in{path};
+TEST(TextFile, WritesBytesAndThrowsWhenAnyFail) {
+  using namespace std::string_literals;
+  const std::string path = testing::TempDir() + "hbspk_text_file_test.txt";
+  const std::string text = "p,100\n2,\"a,b\"\r\n\0tail"s;
+  write_text_file(path, text);
+  std::ifstream in{path, std::ios::binary};
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), "a,\"b,c\"\n1,2\n");
+  EXPECT_EQ(buffer.str(), text);
   std::remove(path.c_str());
+
+  EXPECT_THROW(write_text_file("/nonexistent/dir/out.csv", text),
+               std::runtime_error);
+
+  // A full device accepts the open and fails only when close() flushes the
+  // buffered bytes; that short write must throw too.
+  if (!std::ifstream{"/dev/full"}) GTEST_SKIP() << "no /dev/full";
+  EXPECT_THROW(write_text_file("/dev/full", text), std::runtime_error);
 }
 
 TEST(Cli, ParsesAllFlagForms) {
