@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
        }},
       {"reduce",
        [&](int root) {
-         return coll::plan_reduce(tree, n,
-                                  {.root_pid = root, .shares = Shares::kBalanced});
+         return coll::plan_reduce_tree(
+             tree, n, {.root_pid = root, .shares = Shares::kBalanced});
        }},
   };
   const std::vector<int> roots = {fast, median, slow};

@@ -55,10 +55,12 @@ void collective_table(const MachineTree& tree, std::size_t n) {
                       .total()});
   rows.push_back(
       {"reduce",
-       coll::plan_reduce(tree, n, {.root_pid = root, .shares = Shares::kEqual}),
-       coll::plan_reduce(tree, n, {.root_pid = root, .shares = Shares::kBalanced}),
-       analysis::hbsp1_reduce(tree, scope, root, n, Shares::kEqual).total(),
-       analysis::hbsp1_reduce(tree, scope, root, n, Shares::kBalanced).total()});
+       coll::plan_reduce_tree(tree, n,
+                              {.root_pid = root, .shares = Shares::kEqual}),
+       coll::plan_reduce_tree(tree, n,
+                              {.root_pid = root, .shares = Shares::kBalanced}),
+       analysis::hbspk_reduce(tree, n, Shares::kEqual, root).total(),
+       analysis::hbspk_reduce(tree, n, Shares::kBalanced, root).total()});
   rows.push_back({"scan", coll::plan_scan(tree, n, Shares::kEqual),
                   coll::plan_scan(tree, n, Shares::kBalanced),
                   analysis::hbsp1_scan(tree, scope, n, Shares::kEqual).total(),

@@ -7,6 +7,7 @@
 // was mis-estimated, §5.2).
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "experiments/figures.hpp"
 #include "util/cli.hpp"
@@ -24,6 +25,10 @@ int main(int argc, char** argv) {
   exp::FigureConfig config;
   config.noise.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2001));
   config.noise.stddev = cli.get_double("noise", 0.05);
+  if (config.noise.stddev < 0.0) {
+    throw std::invalid_argument{"--noise expects a sigma >= 0, got '" +
+                                cli.get("noise", "") + "'"};
+  }
 
   exp::SweepRunner runner{
       static_cast<int>(cli.get_positive_int("threads", 1))};

@@ -100,6 +100,21 @@ plain_leg() {
   done
   echo "fig3a and chaos_sweep fail on an unwritable CSV"
 
+  # A numeric flag must parse whole and in range: junk must not run as 0
+  # (seed 0, noise 0, an unbounded admission queue), and a negative noise
+  # sigma is not a sigma.
+  local bad
+  for bad in "bench/fig3b_gather_balance --noise abc" \
+    "bench/fig3b_gather_balance --noise -1" "bench/chaos_sweep --seed abc" \
+    "bench/load_gen --capacity abc"; do
+    # ${bad} is split on purpose into binary, flag and value.
+    if build-ci/${bad} >/dev/null 2>&1; then
+      echo "${bad} exited 0" >&2
+      return 1
+    fi
+  done
+  echo "fig3b_gather_balance, chaos_sweep and load_gen refuse bad numbers"
+
   # The same claim for the span-tracing layer: the exported virtual-time
   # trace sorts spans by content (never by arrival thread), so the JSON must
   # be byte-identical at any worker count — and schema/semantically valid.

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   add("scatter (balanced)", coll::plan_scatter(machine, n, {}));
   add("broadcast (two-phase)", coll::plan_broadcast(machine, n, {}));
   add("allgather", coll::plan_allgather(machine, n));
-  add("reduce", coll::plan_reduce(machine, n, {}));
+  add("reduce", coll::plan_reduce_tree(machine, n, {}));
   add("scan", coll::plan_scan(machine, n));
   add("all-to-all", coll::plan_alltoall(machine, n));
   costs.print();

@@ -28,22 +28,4 @@ namespace hbsp::coll::bsp {
                                .shares = Shares::kEqual});
 }
 
-/// Scatter with equal shares from processor 0.
-[[nodiscard]] inline CommSchedule plan_scatter(const MachineTree& tree,
-                                               std::size_t n) {
-  return coll::plan_scatter(tree, n, {.root_pid = 0, .shares = Shares::kEqual});
-}
-
-/// All-gather with equal shares.
-[[nodiscard]] inline CommSchedule plan_allgather(const MachineTree& tree,
-                                                 std::size_t n) {
-  return coll::plan_allgather(tree, n, Shares::kEqual);
-}
-
-/// Reduction to processor 0 with equal shares.
-[[nodiscard]] inline CommSchedule plan_reduce(const MachineTree& tree,
-                                              std::size_t n) {
-  return coll::plan_reduce(tree, n, {.root_pid = 0, .shares = Shares::kEqual});
-}
-
 }  // namespace hbsp::coll::bsp

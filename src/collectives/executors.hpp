@@ -10,7 +10,8 @@
 // All executors are collectives in the MPI sense: every processor of the
 // machine must call the same executor with consistent arguments, and the
 // data a processor contributes must match its planned share
-// (`leaf_shares(machine, n, shares)`).
+// (`leaf_shares(machine, n, shares)`; for kBalanced that is what the
+// runtime's `balanced_shares(n)` enquiry returns).
 
 #include <algorithm>
 #include <cstdint>
@@ -109,9 +110,7 @@ std::optional<std::vector<T>> gather(rt::Hbsp& ctx, std::span<const T> mine,
     if (!cluster) continue;
     const int target = cluster_target(tree, *cluster, root_pid);
     const MachineId member = detail::member_node(tree, ctx.pid(), level);
-    const int site = tree.is_processor(member)
-                         ? ctx.pid()
-                         : cluster_target(tree, member, root_pid);
+    const int site = data_site(tree, member, root_pid);
     if (ctx.pid() == site && ctx.pid() != target && !segments.empty()) {
       auto buffer = detail::pack_segments(segments);
       const std::size_t items = detail::segment_items(segments);
@@ -176,9 +175,7 @@ std::vector<T> scatter(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
       for (int child = 0; child < tree.num_children(*cluster); ++child) {
         const MachineId cid = tree.child(*cluster, child);
         const auto [first, last] = tree.processor_range(cid);
-        const int site = tree.is_processor(cid)
-                             ? tree.node(cid).pid
-                             : cluster_target(tree, cid, root_pid);
+        const int site = data_site(tree, cid, root_pid);
         const std::size_t count = offsets[static_cast<std::size_t>(last)] -
                                   offsets[static_cast<std::size_t>(first)];
         if (site == source || count == 0) continue;
@@ -192,9 +189,7 @@ std::vector<T> scatter(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
     }
     ctx.sync_scope(*cluster);
     const MachineId member = detail::member_node(tree, ctx.pid(), level);
-    const int my_site = tree.is_processor(member)
-                            ? ctx.pid()
-                            : cluster_target(tree, member, root_pid);
+    const int my_site = data_site(tree, member, root_pid);
     if (ctx.pid() == my_site && ctx.pid() != source) {
       auto messages = ctx.recv_all();
       if (!messages.empty()) {
@@ -250,15 +245,11 @@ std::vector<T> broadcast(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
     const int m = tree.num_children(*cluster);
     const MachineId member = detail::member_node(tree, ctx.pid(), level);
     const int my_ordinal = analysis::member_of_pid(tree, *cluster, ctx.pid());
-    const int my_site = tree.is_processor(member)
-                            ? ctx.pid()
-                            : cluster_target(tree, member, root_pid);
+    const int my_site = data_site(tree, member, root_pid);
     std::vector<int> sites(static_cast<std::size_t>(m));
     for (int j = 0; j < m; ++j) {
-      const MachineId cid = tree.child(*cluster, j);
       sites[static_cast<std::size_t>(j)] =
-          tree.is_processor(cid) ? tree.node(cid).pid
-                                 : cluster_target(tree, cid, root_pid);
+          data_site(tree, tree.child(*cluster, j), root_pid);
     }
 
     const bool top = level == tree.height();
@@ -394,50 +385,6 @@ std::vector<T> allgather(rt::Hbsp& ctx, std::span<const T> mine, std::size_t n,
   return full;
 }
 
-/// HBSP^1 reduction with a binary operation; returns the result at the root,
-/// nullopt elsewhere. `identity` seeds empty shares.
-template <typename T, typename Op>
-std::optional<T> reduce(rt::Hbsp& ctx, std::span<const T> mine, std::size_t n,
-                        Op op, T identity, const RootedOptions& options = {}) {
-  const MachineTree& tree = ctx.machine();
-  detail::require_flat(tree, "reduce");
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
-  const auto split = leaf_shares(tree, n, options.shares);
-  if (mine.size() != split[static_cast<std::size_t>(ctx.pid())]) {
-    throw std::invalid_argument{"reduce: local data does not match the plan"};
-  }
-
-  T partial = identity;
-  for (const T& value : mine) partial = op(partial, value);
-  if (!mine.empty()) {
-    ctx.charge_compute(static_cast<double>(mine.size()) - 1.0);
-  }
-  if (ctx.pid() != root_pid) {
-    rt::PackBuffer out;
-    out.pack<T>(partial);
-    ctx.send(root_pid, out.take(), 1);
-  }
-  ctx.sync_scope(tree.root());
-
-  if (ctx.pid() != root_pid) {
-    ctx.sync_scope(tree.root());  // pair the root's combine superstep
-    return std::nullopt;
-  }
-  std::vector<T> partials(static_cast<std::size_t>(ctx.nprocs()), identity);
-  partials[static_cast<std::size_t>(ctx.pid())] = partial;
-  for (const auto& message : ctx.recv_all()) {
-    rt::UnpackBuffer reader{message};
-    partials[static_cast<std::size_t>(message.src_pid)] = reader.unpack<T>();
-  }
-  T result = identity;
-  for (const T& value : partials) result = op(result, value);
-  ctx.charge_compute(static_cast<double>(ctx.nprocs()) - 1.0);
-  ctx.sync_scope(tree.root());
-  return result;
-}
-
 /// HBSP^k all-gather: gather to the machine's coordinator, then broadcast
 /// back out (the runnable counterpart of plan_allgather_tree). Every
 /// processor returns the full n items in pid order.
@@ -460,8 +407,9 @@ std::vector<T> allgather_tree(rt::Hbsp& ctx, std::span<const T> mine,
 
 /// HBSP^k reduction with a binary operation: partials flow up the tree one
 /// level per superstep, each cluster folding concurrently under its own
-/// barrier (the runnable counterpart of plan_reduce_tree). Returns the
-/// result at the root processor, nullopt elsewhere.
+/// barrier (the runnable counterpart of plan_reduce_tree; on a flat machine,
+/// the HBSP^1 reduce). Returns the result at the root processor, nullopt
+/// elsewhere. `identity` seeds empty shares.
 template <typename T, typename Op>
 std::optional<T> reduce_tree(rt::Hbsp& ctx, std::span<const T> mine,
                              std::size_t n, Op op, T identity,
@@ -489,9 +437,7 @@ std::optional<T> reduce_tree(rt::Hbsp& ctx, std::span<const T> mine,
     if (!cluster) continue;
     const int target = cluster_target(tree, *cluster, root_pid);
     const MachineId member = detail::member_node(tree, ctx.pid(), level);
-    const int my_site = tree.is_processor(member)
-                            ? ctx.pid()
-                            : cluster_target(tree, member, root_pid);
+    const int my_site = data_site(tree, member, root_pid);
     if (ctx.pid() == my_site) {
       if (pending_ops > 0.0) {
         ctx.charge_compute(pending_ops);

@@ -19,48 +19,12 @@ void note_plan(const std::string& kind) {
   registry.counter("coll.plan." + kind).increment();
 }
 
-/// Per-node shares of n items, [level][index], computed by recursive
-/// member_shares splits from the root down.
-std::vector<std::vector<std::size_t>> node_shares(const MachineTree& tree,
-                                                  std::size_t n, Shares shares) {
-  std::vector<std::vector<std::size_t>> result(
-      static_cast<std::size_t>(tree.num_levels()));
-  for (int level = 0; level < tree.num_levels(); ++level) {
-    result[static_cast<std::size_t>(level)].resize(
-        static_cast<std::size_t>(tree.machines_at(level)), 0);
-  }
-  result[static_cast<std::size_t>(tree.height())][0] = n;
-  for (int level = tree.height(); level >= 1; --level) {
-    for (int j = 0; j < tree.machines_at(level); ++j) {
-      const MachineId id{level, j};
-      if (tree.is_processor(id)) continue;
-      const std::size_t my_share =
-          result[static_cast<std::size_t>(level)][static_cast<std::size_t>(j)];
-      const auto split = analysis::member_shares(tree, id, my_share, shares);
-      for (int child = 0; child < tree.num_children(id); ++child) {
-        const MachineId cid = tree.child(id, child);
-        result[static_cast<std::size_t>(cid.level)]
-              [static_cast<std::size_t>(cid.index)] =
-                  split[static_cast<std::size_t>(child)];
-      }
-    }
-  }
-  return result;
-}
-
 int normalize_root(const MachineTree& tree, int root_pid) {
   if (root_pid < 0) return tree.coordinator_pid(tree.root());
   if (root_pid >= tree.num_processors()) {
     throw std::invalid_argument{"bad root pid " + std::to_string(root_pid)};
   }
   return root_pid;
-}
-
-/// Data location of node `id` for a rooted collective: the processor itself,
-/// or the cluster's target.
-int data_site(const MachineTree& tree, MachineId id, int root_pid) {
-  if (tree.is_processor(id)) return tree.node(id).pid;
-  return cluster_target(tree, id, root_pid);
 }
 
 /// Adds the two-phase broadcast of `n` items from `cluster`'s data site to
@@ -124,32 +88,11 @@ void require_flat(const MachineTree& tree, const char* who) {
 }
 }  // namespace detail
 
-std::vector<std::size_t> leaf_shares(const MachineTree& tree, std::size_t n,
-                                     Shares shares) {
-  const auto per_node = node_shares(tree, n, shares);
-  std::vector<std::size_t> result(static_cast<std::size_t>(tree.num_processors()));
-  for (int pid = 0; pid < tree.num_processors(); ++pid) {
-    const MachineId id = tree.processor(pid);
-    result[static_cast<std::size_t>(pid)] =
-        per_node[static_cast<std::size_t>(id.level)]
-                [static_cast<std::size_t>(id.index)];
-  }
-  return result;
-}
-
-int cluster_target(const MachineTree& tree, MachineId cluster, int root_pid) {
-  if (root_pid >= 0) {
-    const auto [first, last] = tree.processor_range(cluster);
-    if (root_pid >= first && root_pid < last) return root_pid;
-  }
-  return tree.coordinator_pid(cluster);
-}
-
 CommSchedule plan_gather(const MachineTree& tree, std::size_t n,
                          const RootedOptions& options) {
   note_plan("gather");
   const int root_pid = normalize_root(tree, options.root_pid);
-  const auto shares = node_shares(tree, n, options.shares);
+  const auto shares = analysis::node_shares(tree, n, options.shares);
 
   CommSchedule schedule;
   schedule.name = "gather";
@@ -182,7 +125,7 @@ CommSchedule plan_scatter(const MachineTree& tree, std::size_t n,
                           const RootedOptions& options) {
   note_plan("scatter");
   const int root_pid = normalize_root(tree, options.root_pid);
-  const auto shares = node_shares(tree, n, options.shares);
+  const auto shares = analysis::node_shares(tree, n, options.shares);
 
   CommSchedule schedule;
   schedule.name = "scatter";
@@ -276,34 +219,6 @@ CommSchedule plan_allgather(const MachineTree& tree, std::size_t n,
   }
   return schedule;
 }
-
-CommSchedule plan_reduce(const MachineTree& tree, std::size_t n,
-                         const RootedOptions& options) {
-  note_plan("reduce");
-  detail::require_flat(tree, "plan_reduce");
-  const int root_pid = normalize_root(tree, options.root_pid);
-  const analysis::Members members =
-      analysis::cluster_members(tree, tree.root(), n, options.shares);
-  const std::size_t m = members.pids.size();
-
-  CommSchedule schedule;
-  schedule.name = "reduce";
-  SuperstepPlan& combine = schedule.add_step("combine + send partials", 1,
-                                             tree.root());
-  for (std::size_t j = 0; j < m; ++j) {
-    const double ops =
-        members.shares[j] > 0 ? static_cast<double>(members.shares[j]) - 1.0 : 0.0;
-    if (ops > 0.0) combine.compute.push_back({members.pids[j], ops});
-    if (members.pids[j] != root_pid) {
-      combine.transfers.push_back({members.pids[j], root_pid, 1});
-    }
-  }
-  SuperstepPlan& final_step = schedule.add_step("root combine", 1, tree.root());
-  final_step.compute.push_back({root_pid, static_cast<double>(m) - 1.0});
-  return schedule;
-}
-
-
 
 CommSchedule plan_allgather_tree(const MachineTree& tree, std::size_t n,
                                  Shares shares) {

@@ -8,13 +8,15 @@
 // either by the cluster simulator directly or by the SPMD executors in
 // executors.hpp.
 //
-// gather, broadcast and scatter generalise to any k by recursing over the
-// machine tree (the paper gives k <= 2 and notes "one can generalize the
-// approach given here"); the remaining collectives ([20]) are single-cluster
-// (HBSP^1) algorithms.
+// gather, broadcast, scatter and reduce generalise to any k by recursing over
+// the machine tree (the paper gives k <= 2 and notes "one can generalize the
+// approach given here"); allgather has a flat total exchange and a tree form;
+// scan and alltoall ([20]) are single-cluster (HBSP^1) algorithms. Every
+// planner reads its per-processor shares (leaf_shares) and its endpoints
+// (cluster_target, data_site) from core/analysis, the same helpers the closed
+// forms use; they are re-exported here.
 
 #include <cstddef>
-#include <vector>
 
 #include "core/analysis.hpp"
 #include "core/machine.hpp"
@@ -22,6 +24,9 @@
 
 namespace hbsp::coll {
 
+using analysis::cluster_target;
+using analysis::data_site;
+using analysis::leaf_shares;
 using analysis::Shares;
 using analysis::TopPhase;
 
@@ -40,17 +45,6 @@ struct BroadcastOptions {
   TopPhase top_phase = TopPhase::kTwoPhase;
   Shares shares = Shares::kEqual;
 };
-
-/// Per-processor shares of n items under a policy, computed by recursive
-/// member_shares splits from the root down (so any cluster's aggregate share
-/// equals its member share at the parent). Indexed by pid; sums to n.
-[[nodiscard]] std::vector<std::size_t> leaf_shares(const MachineTree& tree,
-                                                   std::size_t n, Shares shares);
-
-/// Where a cluster's gathered/broadcast data lives: `root_pid` when it is
-/// inside the cluster, otherwise the cluster's coordinator.
-[[nodiscard]] int cluster_target(const MachineTree& tree, MachineId cluster,
-                                 int root_pid);
 
 /// Gather n items (distributed per `shares`) to the root processor. One
 /// phase per tree level, bottom-up; clusters gather concurrently (§4.2/4.3).
@@ -82,15 +76,11 @@ struct BroadcastOptions {
                                                std::size_t n,
                                                Shares shares = Shares::kBalanced);
 
-/// HBSP^1 reduction to the root: local combine, 1-item partials to the root,
-/// root combine.
-[[nodiscard]] CommSchedule plan_reduce(const MachineTree& tree, std::size_t n,
-                                       const RootedOptions& options = {});
-
 /// HBSP^k reduction: local combines, then 1-item partials flow up the tree
 /// one level per phase (each cluster combining concurrently under its own
 /// barrier), ending with the root target's final combine. On a flat machine
-/// this degenerates to plan_reduce's two supersteps. A processor's local
+/// this is the HBSP^1 reduce's two supersteps: local combine with 1-item
+/// partials to the root, then the root's combine. A processor's local
 /// combine is charged in the first phase its cluster participates in; a
 /// coordinator's combine of its cluster's partials is charged in the next
 /// phase up (it can only fold what the barrier delivered).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -43,6 +42,46 @@ std::vector<std::size_t> member_shares(const MachineTree& tree,
   return apportion(fractions, n);
 }
 
+std::vector<std::vector<std::size_t>> node_shares(const MachineTree& tree,
+                                                  std::size_t n, Shares shares) {
+  std::vector<std::vector<std::size_t>> result(
+      static_cast<std::size_t>(tree.num_levels()));
+  for (int level = 0; level < tree.num_levels(); ++level) {
+    result[static_cast<std::size_t>(level)].resize(
+        static_cast<std::size_t>(tree.machines_at(level)), 0);
+  }
+  result[static_cast<std::size_t>(tree.height())][0] = n;
+  for (int level = tree.height(); level >= 1; --level) {
+    for (int j = 0; j < tree.machines_at(level); ++j) {
+      const MachineId id{level, j};
+      if (tree.is_processor(id)) continue;
+      const std::size_t my_share =
+          result[static_cast<std::size_t>(level)][static_cast<std::size_t>(j)];
+      const auto split = member_shares(tree, id, my_share, shares);
+      for (int child = 0; child < tree.num_children(id); ++child) {
+        const MachineId cid = tree.child(id, child);
+        result[static_cast<std::size_t>(cid.level)]
+              [static_cast<std::size_t>(cid.index)] =
+                  split[static_cast<std::size_t>(child)];
+      }
+    }
+  }
+  return result;
+}
+
+std::vector<std::size_t> leaf_shares(const MachineTree& tree, std::size_t n,
+                                     Shares shares) {
+  const auto per_node = node_shares(tree, n, shares);
+  std::vector<std::size_t> result(static_cast<std::size_t>(tree.num_processors()));
+  for (int pid = 0; pid < tree.num_processors(); ++pid) {
+    const MachineId id = tree.processor(pid);
+    result[static_cast<std::size_t>(pid)] =
+        per_node[static_cast<std::size_t>(id.level)]
+                [static_cast<std::size_t>(id.index)];
+  }
+  return result;
+}
+
 Members cluster_members(const MachineTree& tree, MachineId cluster,
                         std::size_t n, Shares shares) {
   Members members;
@@ -61,6 +100,18 @@ Members cluster_members(const MachineTree& tree, MachineId cluster,
   return members;
 }
 
+int cluster_target(const MachineTree& tree, MachineId cluster, int root_pid) {
+  if (root_pid >= 0) {
+    const auto [first, last] = tree.processor_range(cluster);
+    if (root_pid >= first && root_pid < last) return root_pid;
+  }
+  return tree.coordinator_pid(cluster);
+}
+
+int data_site(const MachineTree& tree, MachineId id, int root_pid) {
+  if (tree.is_processor(id)) return tree.node(id).pid;
+  return cluster_target(tree, id, root_pid);
+}
 
 std::vector<std::size_t> broadcast_pieces(const MachineTree& tree,
                                           MachineId cluster, std::size_t n,
@@ -314,38 +365,6 @@ AlgoCost hbsp1_allgather(const MachineTree& tree, MachineId cluster,
   return cost;
 }
 
-AlgoCost hbsp1_reduce(const MachineTree& tree, MachineId cluster, int root_pid,
-                      std::size_t n, Shares shares) {
-  const Members members = cluster_members(tree, cluster, n, shares);
-  const std::size_t m = members.pids.size();
-  const int root_member = member_of_pid(tree, cluster, root_pid);
-  const double op_cost = tree.g();  // matches CostModel's default seconds_per_op
-
-  // Step 1: local combine (x_j − 1 ops) + one partial item to the root.
-  double w1 = 0.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const double ops = members.shares[j] > 0 ? items(members.shares[j]) - 1.0 : 0.0;
-    w1 = std::max(w1,
-                  ops * tree.processor_compute_r(members.pids[j]) * op_cost);
-  }
-  double h1 = tree.processor_r(root_pid) * items(m - 1);
-  for (std::size_t j = 0; j < m; ++j) {
-    if (static_cast<int>(j) == root_member) continue;
-    h1 = std::max(h1, tree.processor_r(members.pids[j]) * 1.0);
-  }
-
-  // Step 2: the root combines the m partials (m − 1 ops), no communication.
-  const double w2 =
-      items(m - 1) * tree.processor_compute_r(root_pid) * op_cost;
-
-  AlgoCost cost;
-  cost.steps.push_back({"combine + send partials",
-                        w1 + tree.g() * h1 + tree.sync_L(cluster)});
-  cost.steps.push_back({"root combine", w2 + tree.sync_L(cluster)});
-  return cost;
-}
-
-
 AlgoCost hbspk_reduce(const MachineTree& tree, std::size_t n, Shares shares,
                       int root_pid) {
   if (tree.num_children(tree.root()) == 0) {
@@ -354,52 +373,11 @@ AlgoCost hbspk_reduce(const MachineTree& tree, std::size_t n, Shares shares,
   const int root = root_pid < 0 ? tree.coordinator_pid(tree.root()) : root_pid;
   const double op_cost = tree.g();
 
-  // Per-leaf shares via the same recursive split the planners use.
-  std::vector<std::size_t> leaf(static_cast<std::size_t>(tree.num_processors()), 0);
-  {
-    // Walk node shares top-down.
-    std::vector<std::vector<std::size_t>> per_node(
-        static_cast<std::size_t>(tree.num_levels()));
-    for (int level = 0; level < tree.num_levels(); ++level) {
-      per_node[static_cast<std::size_t>(level)].resize(
-          static_cast<std::size_t>(tree.machines_at(level)), 0);
-    }
-    per_node[static_cast<std::size_t>(tree.height())][0] = n;
-    for (int level = tree.height(); level >= 1; --level) {
-      for (int j = 0; j < tree.machines_at(level); ++j) {
-        const MachineId id{level, j};
-        if (tree.is_processor(id)) continue;
-        const auto split = member_shares(
-            tree, id,
-            per_node[static_cast<std::size_t>(level)][static_cast<std::size_t>(j)],
-            shares);
-        for (int child = 0; child < tree.num_children(id); ++child) {
-          const MachineId cid = tree.child(id, child);
-          per_node[static_cast<std::size_t>(cid.level)]
-                  [static_cast<std::size_t>(cid.index)] =
-                      split[static_cast<std::size_t>(child)];
-        }
-      }
-    }
-    for (int pid = 0; pid < tree.num_processors(); ++pid) {
-      const MachineId id = tree.processor(pid);
-      leaf[static_cast<std::size_t>(pid)] =
-          per_node[static_cast<std::size_t>(id.level)]
-                  [static_cast<std::size_t>(id.index)];
-    }
-  }
-
-  const auto site_of = [&](MachineId id) {
-    if (tree.is_processor(id)) return tree.node(id).pid;
-    const auto [first, last] = tree.processor_range(id);
-    if (root >= first && root < last) return root;
-    return tree.coordinator_pid(id);
-  };
-
-  std::map<int, double> pending;
-  for (int pid = 0; pid < tree.num_processors(); ++pid) {
-    const std::size_t share = leaf[static_cast<std::size_t>(pid)];
-    pending[pid] = share > 0 ? static_cast<double>(share) - 1.0 : 0.0;
+  // Ops owed by each data site: initially every processor's local combine.
+  const auto leaf = leaf_shares(tree, n, shares);
+  std::vector<double> pending(leaf.size());
+  for (std::size_t pid = 0; pid < leaf.size(); ++pid) {
+    pending[pid] = leaf[pid] > 0 ? static_cast<double>(leaf[pid]) - 1.0 : 0.0;
   }
 
   AlgoCost cost;
@@ -410,23 +388,22 @@ AlgoCost hbspk_reduce(const MachineTree& tree, std::size_t n, Shares shares,
       const MachineId cluster{level, j};
       if (tree.is_processor(cluster)) continue;
       any_cluster = true;
-      const int target = site_of(cluster);
+      const int target = cluster_target(tree, cluster, root);
       double w = 0.0;
       double sender_h = 0.0;
       double partials = 0.0;
       for (int child = 0; child < tree.num_children(cluster); ++child) {
-        const int site = site_of(tree.child(cluster, child));
-        if (auto owed = pending.find(site);
-            owed != pending.end() && owed->second > 0.0) {
-          w = std::max(w, owed->second * tree.processor_compute_r(site) * op_cost);
-          owed->second = 0.0;
+        const int site = data_site(tree, tree.child(cluster, child), root);
+        if (double& owed = pending[static_cast<std::size_t>(site)]; owed > 0.0) {
+          w = std::max(w, owed * tree.processor_compute_r(site) * op_cost);
+          owed = 0.0;
         }
         if (site != target) {
           sender_h = std::max(sender_h, tree.processor_r(site) * 1.0);
           partials += 1.0;
         }
       }
-      pending[target] += partials;
+      pending[static_cast<std::size_t>(target)] += partials;
       const double h = std::max(sender_h, tree.processor_r(target) * partials);
       phase_cost = std::max(phase_cost, w + tree.g() * h + tree.sync_L(cluster));
     }
@@ -435,8 +412,8 @@ AlgoCost hbspk_reduce(const MachineTree& tree, std::size_t n, Shares shares,
     }
   }
 
-  const int root_target = site_of(tree.root());
-  const double w_final = pending[root_target] *
+  const int root_target = cluster_target(tree, tree.root(), root);
+  const double w_final = pending[static_cast<std::size_t>(root_target)] *
                          tree.processor_compute_r(root_target) * op_cost;
   cost.steps.push_back({"root combine", w_final + tree.sync_L(tree.root())});
   return cost;

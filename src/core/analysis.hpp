@@ -8,7 +8,9 @@
 // Conventions follow §4: within a cluster the coordinator is the fastest
 // machine (so its r is the cluster minimum), shares are either equal (n/m,
 // the "unbalanced" heterogeneous case) or balanced (x_j = c_j·n), and a
-// machine never sends to itself (§5.2).
+// machine never sends to itself (§5.2). Per-processor shares come from
+// leaf_shares and message endpoints from data_site, the helpers at the end of
+// this header that the planners call too.
 
 #include <cstddef>
 #include <optional>
@@ -116,11 +118,6 @@ enum class TopPhase {
 [[nodiscard]] AlgoCost hbsp1_allgather(const MachineTree& tree, MachineId cluster,
                                        std::size_t n, Shares shares);
 
-/// Reduce to `root_pid`: local combine (w = x_j ops), gather of one partial
-/// item per member, root combine (m−1 ops).
-[[nodiscard]] AlgoCost hbsp1_reduce(const MachineTree& tree, MachineId cluster,
-                                    int root_pid, std::size_t n, Shares shares);
-
 /// Exclusive scan: local prefix (x_j ops), 1-item partials to the root, root
 /// prefix over m partials, 1-item offsets back, local add (x_j ops).
 [[nodiscard]] AlgoCost hbsp1_scan(const MachineTree& tree, MachineId cluster,
@@ -131,11 +128,13 @@ enum class TopPhase {
 [[nodiscard]] AlgoCost hbsp1_alltoall(const MachineTree& tree, MachineId cluster,
                                       std::size_t n, Shares shares);
 
-
 /// HBSP^k reduction closed form: one super^i-step per level (clusters fold
 /// concurrently, each charging local combines owed since the previous level
 /// and forwarding 1-item partials to its target), plus the root's final
-/// combine. Matches CostModel(plan_reduce_tree(...)) exactly.
+/// combine. On a flat machine this is the HBSP^1 reduce: local combine
+/// (x_j − 1 ops) and one partial per member to the root, then the root's
+/// combine of the m partials. Matches CostModel(plan_reduce_tree(...))
+/// exactly.
 [[nodiscard]] AlgoCost hbspk_reduce(const MachineTree& tree, std::size_t n,
                                     Shares shares, int root_pid = -1);
 
@@ -160,6 +159,20 @@ enum class TopPhase {
                                                      MachineId cluster,
                                                      std::size_t n, Shares shares);
 
+/// Per-node shares of n items, [level][index]: the root holds n and every
+/// cluster splits its own share over its members by member_shares, so c_{i,j}
+/// is a fraction of the parent's share (Table 1, §3.3) and every cluster's
+/// aggregate equals its member share at the parent.
+[[nodiscard]] std::vector<std::vector<std::size_t>> node_shares(
+    const MachineTree& tree, std::size_t n, Shares shares);
+
+/// Per-processor shares of n items: node_shares read at each processor.
+/// Indexed by pid; sums to n. This is the one split of the machine: the
+/// planners, the closed forms, the executors and the runtime's balanced-share
+/// enquiry all use it.
+[[nodiscard]] std::vector<std::size_t> leaf_shares(const MachineTree& tree,
+                                                   std::size_t n, Shares shares);
+
 /// A cluster's members resolved to communication endpoints: child ids, their
 /// endpoint pids (a child's coordinator; the child itself when a processor),
 /// and their shares of n. The planners and the closed forms both build this,
@@ -174,6 +187,17 @@ struct Members {
 /// is a processor.
 [[nodiscard]] Members cluster_members(const MachineTree& tree, MachineId cluster,
                                       std::size_t n, Shares shares);
+
+/// Where a cluster's gathered/broadcast data lives in a rooted collective:
+/// `root_pid` when it is inside the cluster, otherwise the cluster's
+/// coordinator (root_pid < 0 always selects the coordinator).
+[[nodiscard]] int cluster_target(const MachineTree& tree, MachineId cluster,
+                                 int root_pid);
+
+/// Data site of node `id` in a rooted collective: the processor itself, or
+/// the cluster's target. A §4 superstep moves data between the data sites of
+/// a cluster's members.
+[[nodiscard]] int data_site(const MachineTree& tree, MachineId id, int root_pid);
 
 /// Phase-1 pieces of a two-phase broadcast within `cluster`. Unlike workload
 /// shares, broadcast pieces are transient material: kEqual is an equal split

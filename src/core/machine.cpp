@@ -283,6 +283,20 @@ MachineId MachineTree::ancestor_at(int pid, int level) const {
                               static_cast<std::size_t>(level)]};
 }
 
+void MachineTree::route(int src_pid, int dst_pid,
+                        std::vector<MachineId>& out) const {
+  if (src_pid == dst_pid) return;
+  const int lca = lca_level(src_pid, dst_pid);
+  // Up from the source to (and including) the LCA...
+  for (int level = processor(src_pid).level + 1; level <= lca; ++level) {
+    out.push_back(ancestor_at(src_pid, level));
+  }
+  // ...and down to the destination, excluding the LCA already added.
+  for (int level = processor(dst_pid).level + 1; level < lca; ++level) {
+    out.push_back(ancestor_at(dst_pid, level));
+  }
+}
+
 std::vector<MachineId> MachineTree::level_ids(int level) const {
   const int count = machines_at(level);
   std::vector<MachineId> ids;

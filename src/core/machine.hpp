@@ -158,6 +158,13 @@ class MachineTree {
   /// or above the root.
   [[nodiscard]] MachineId ancestor_at(int pid, int level) const;
 
+  /// Appends to `out` the interior nodes whose networks a message from
+  /// processor `src_pid` to `dst_pid` crosses: the source's ancestors up to
+  /// and including the LCA, then the destination's below the LCA, each side
+  /// leaf upward. Appends nothing when src == dst. Allocates only if `out`
+  /// must grow, so a caller can reuse one scratch vector per message.
+  void route(int src_pid, int dst_pid, std::vector<MachineId>& out) const;
+
   /// All machine ids on one level, in index order. O(m_i).
   [[nodiscard]] std::vector<MachineId> level_ids(int level) const;
 

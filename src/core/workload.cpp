@@ -64,25 +64,4 @@ std::vector<std::size_t> balanced_partition(std::span<const double> r,
   return apportion(balanced_fractions(r), n);
 }
 
-std::vector<std::size_t> tree_partition(const MachineTree& tree, std::size_t n) {
-  std::vector<double> fractions;
-  fractions.reserve(static_cast<std::size_t>(tree.num_processors()));
-  for (int pid = 0; pid < tree.num_processors(); ++pid) {
-    fractions.push_back(tree.global_c(tree.processor(pid)));
-  }
-  return apportion(fractions, n);
-}
-
-std::vector<std::size_t> subtree_partition(const MachineTree& tree,
-                                           MachineId subtree, std::size_t n) {
-  const auto [first, last] = tree.processor_range(subtree);
-  const double scope_c = tree.global_c(subtree);
-  std::vector<double> fractions;
-  fractions.reserve(static_cast<std::size_t>(last - first));
-  for (int pid = first; pid < last; ++pid) {
-    fractions.push_back(tree.global_c(tree.processor(pid)) / scope_c);
-  }
-  return apportion(fractions, n);
-}
-
 }  // namespace hbsp

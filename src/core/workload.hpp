@@ -6,13 +6,13 @@
 // (c_j ∝ 1/r_j within a cluster), which yields the paper's efficiency
 // condition r_j·c_j < 1 whenever more than one machine participates. Integer
 // apportionment uses the largest-remainder method so shares always sum to n
-// exactly.
+// exactly. These are the primitives of one cluster; a whole machine's
+// per-processor shares are analysis::leaf_shares, which applies them cluster by
+// cluster from the root down.
 
 #include <cstddef>
 #include <span>
 #include <vector>
-
-#include "core/machine.hpp"
 
 namespace hbsp {
 
@@ -32,17 +32,5 @@ namespace hbsp {
 /// Balanced split of n items over machines with slownesses `r`.
 [[nodiscard]] std::vector<std::size_t> balanced_partition(std::span<const double> r,
                                                           std::size_t n);
-
-/// Per-processor balanced shares over a whole HBSP^k machine: apportions n by
-/// each processor's global_c (product of c down the tree), so every cluster's
-/// aggregate share also matches its c. Indexed by pid.
-[[nodiscard]] std::vector<std::size_t> tree_partition(const MachineTree& tree,
-                                                      std::size_t n);
-
-/// Shares for the processors of one subtree only (indexed from the subtree's
-/// first pid), apportioning n by c ratios *within* the subtree.
-[[nodiscard]] std::vector<std::size_t> subtree_partition(const MachineTree& tree,
-                                                         MachineId subtree,
-                                                         std::size_t n);
 
 }  // namespace hbsp

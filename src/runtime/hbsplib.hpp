@@ -61,9 +61,12 @@ class Hbsp {
   [[nodiscard]] int rank_by_speed() const;
   [[nodiscard]] int fastest_pid() const;
   [[nodiscard]] int slowest_pid() const;
-  /// Balanced shares of n items over all processors (c_j·n, summing to n).
+  /// Balanced shares of n items over all processors, indexed by pid and
+  /// summing to n: the split the balanced collectives expect
+  /// (analysis::leaf_shares with Shares::kBalanced, each cluster's share
+  /// divided over its members by c).
   [[nodiscard]] std::vector<std::size_t> balanced_shares(std::size_t n) const;
-  /// This processor's balanced share of n items.
+  /// This processor's entry of balanced_shares(n).
   [[nodiscard]] std::size_t my_balanced_share(std::size_t n) const;
 
   // --- message passing ------------------------------------------------------

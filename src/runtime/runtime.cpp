@@ -12,7 +12,7 @@
 #include <thread>
 #include <utility>
 
-#include "core/workload.hpp"
+#include "core/analysis.hpp"
 #include "runtime/hbsplib.hpp"
 #include "sim/cluster_sim.hpp"
 
@@ -304,7 +304,7 @@ int Hbsp::slowest_pid() const {
 }
 
 std::vector<std::size_t> Hbsp::balanced_shares(std::size_t n) const {
-  return tree_partition(runtime_->tree(), n);
+  return analysis::leaf_shares(runtime_->tree(), n, analysis::Shares::kBalanced);
 }
 
 std::size_t Hbsp::my_balanced_share(std::size_t n) const {

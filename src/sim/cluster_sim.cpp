@@ -396,7 +396,7 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
 
       // Charge shared-medium occupancy on every crossed network.
       route_scratch_.clear();
-      network_.route(t.src_pid, t.dst_pid, route_scratch_);
+      tree_->route(t.src_pid, t.dst_pid, route_scratch_);
       for (const MachineId net : route_scratch_) {
         auto& stats = network_.stats(net);
         stats.items_crossed += t.items;

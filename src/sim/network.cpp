@@ -44,19 +44,6 @@ double Network::wire_per_item(int level) const {
   return wire_per_item_[static_cast<std::size_t>(level)];
 }
 
-void Network::route(int src_pid, int dst_pid, std::vector<MachineId>& out) const {
-  if (src_pid == dst_pid) return;
-  const int lca = tree_->lca_level(src_pid, dst_pid);
-  // Up from the source to (and including) the LCA...
-  for (int level = tree_->processor(src_pid).level + 1; level <= lca; ++level) {
-    out.push_back(tree_->ancestor_at(src_pid, level));
-  }
-  // ...and down to the destination, excluding the LCA already added.
-  for (int level = tree_->processor(dst_pid).level + 1; level < lca; ++level) {
-    out.push_back(tree_->ancestor_at(dst_pid, level));
-  }
-}
-
 std::size_t Network::slot(MachineId id) const {
   if (id.level < 0 || id.level >= tree_->num_levels()) {
     throw std::out_of_range{"Network::slot: bad level"};

@@ -4,9 +4,12 @@
 // Every interior tree node owns a network (an SMP bus, a LAN segment, a
 // campus backbone, ...) connecting its children. A message between two
 // processors crosses the networks of all ancestors of either endpoint up to
-// and including their lowest common ancestor. Each network is a shared
-// medium: the simulator charges its per-item wire time as a throughput bound
-// at the closing barrier, and its level sets the per-message latency.
+// and including their lowest common ancestor; MachineTree::route lists them,
+// so the route is part of the machine model, not of the simulator. Network
+// holds the per-level rates and the per-network tallies. Each network is a
+// shared medium: the simulator charges its per-item wire time as a
+// throughput bound at the closing barrier, and its level sets the
+// per-message latency.
 // NetworkStats is the one per-network tally the simulator keeps; benches and
 // tests read it through ClusterSim::network().
 
@@ -39,9 +42,6 @@ class Network {
   /// Shared-medium seconds one item occupies a level-`level` network.
   /// Throws std::out_of_range unless 1 <= level <= height.
   [[nodiscard]] double wire_per_item(int level) const;
-
-  /// Appends the interior nodes whose networks a src->dst message crosses.
-  void route(int src_pid, int dst_pid, std::vector<MachineId>& out) const;
 
   /// Cumulative statistics of one network (zeroed by reset()).
   [[nodiscard]] const NetworkStats& stats(MachineId id) const;

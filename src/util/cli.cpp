@@ -1,11 +1,20 @@
 #include "util/cli.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <stdexcept>
 
 namespace hbsp::util {
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const char* expected,
+                            const std::string& text) {
+  throw std::invalid_argument{"--" + name + " expects " + expected + ", got '" +
+                              text + "'"};
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -52,24 +61,25 @@ std::string Cli::get(const std::string& name,
 std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& text = it->second;
+  // An optional '-' then digits only: no '+', whitespace, suffix, decimal
+  // point, or the bare-flag "true".
+  const std::size_t first_digit = text.starts_with('-') ? 1 : 0;
+  const bool well_formed =
+      text.size() > first_digit &&
+      text.find_first_not_of("0123456789", first_digit) == std::string::npos;
+  errno = 0;
+  const long long value =
+      well_formed ? std::strtoll(text.c_str(), nullptr, 10) : 0;
+  if (!well_formed || errno == ERANGE) bad_value(name, "an integer", text);
+  return value;
 }
 
 std::int64_t Cli::get_positive_int(const std::string& name,
                                    std::int64_t fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  const std::string& text = it->second;
-  // Digits only: no sign, whitespace, suffix, or the bare-flag "true".
-  const bool digits_only =
-      !text.empty() &&
-      text.find_first_not_of("0123456789") == std::string::npos;
-  errno = 0;
-  const long long value = digits_only ? std::strtoll(text.c_str(), nullptr, 10) : 0;
-  if (!digits_only || errno == ERANGE || value <= 0) {
-    throw std::invalid_argument{"--" + name +
-                                " expects a positive integer, got '" + text +
-                                "'"};
+  const std::int64_t value = get_int(name, fallback);
+  if (has(name) && value <= 0) {
+    bad_value(name, "a positive integer", get(name, ""));
   }
   return value;
 }
@@ -77,25 +87,23 @@ std::int64_t Cli::get_positive_int(const std::string& name,
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
-}
-
-double Cli::get_positive_double(const std::string& name,
-                                double fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
   const std::string& text = it->second;
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(text.c_str(), &end);
-  // The whole token must parse (no suffix, no bare-flag "true") and the
-  // value must be a strictly positive finite number.
-  const bool parsed = end != nullptr && *end == '\0' && !text.empty();
-  if (!parsed || errno == ERANGE || !(value > 0.0) ||
-      value > std::numeric_limits<double>::max()) {
-    throw std::invalid_argument{"--" + name +
-                                " expects a positive number, got '" + text +
-                                "'"};
+  // The whole token must parse (no suffix, no bare-flag "true") to a finite
+  // number in range: nan, inf and under- or overflow are refused.
+  if (text.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+    bad_value(name, "a number", text);
+  }
+  return value;
+}
+
+double Cli::get_positive_double(const std::string& name,
+                                double fallback) const {
+  const double value = get_double(name, fallback);
+  if (has(name) && !(value > 0.0)) {
+    bad_value(name, "a positive number", get(name, ""));
   }
   return value;
 }

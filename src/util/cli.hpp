@@ -27,21 +27,27 @@ class Cli {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// The flag's value as an integer: an optional '-' then digits, within
+  /// range. Anything else (non-numeric text, a '+' or space, a suffix, a
+  /// decimal point, a bare boolean flag, overflow) throws
+  /// std::invalid_argument naming the flag. `fallback` when absent.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
 
-  /// Strict variant for flags like --threads: the value must be a fully
-  /// numeric, strictly positive integer; anything else (0, negatives,
-  /// non-numeric text, a bare boolean flag) throws std::invalid_argument.
+  /// get_int for flags like --threads that must also be strictly positive:
+  /// 0 and negatives throw std::invalid_argument too.
   [[nodiscard]] std::int64_t get_positive_int(const std::string& name,
                                               std::int64_t fallback) const;
+
+  /// The flag's value as a number: a token strtod consumes whole to a finite
+  /// value in range. Anything else (non-numeric text, trailing junk, nan,
+  /// inf, under- or overflow, a bare boolean flag) throws
+  /// std::invalid_argument naming the flag. `fallback` when absent.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
 
-  /// Strict variant for flags like --qps: the value must be fully numeric
-  /// and strictly positive; anything else (0, negatives, non-numeric text,
-  /// a bare boolean flag, trailing junk) throws std::invalid_argument with
-  /// the same friendly message shape as get_positive_int.
+  /// get_double for flags like --qps that must also be strictly positive:
+  /// 0 and negatives throw std::invalid_argument too.
   [[nodiscard]] double get_positive_double(const std::string& name,
                                            double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;

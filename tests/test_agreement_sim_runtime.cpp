@@ -41,7 +41,7 @@ TEST(SimRuntimeAgreement, PlannedCollectivesMatch) {
       {&flat, coll::plan_broadcast(flat, n, {})},
       {&flat, coll::plan_scatter(flat, n, {})},
       {&flat, coll::plan_allgather(flat, n)},
-      {&flat, coll::plan_reduce(flat, n, {})},
+      {&flat, coll::plan_reduce_tree(flat, n, {})},
       {&flat, coll::plan_scan(flat, n)},
       {&flat, coll::plan_alltoall(flat, n)},
       {&deep, coll::plan_gather(deep, n, {})},

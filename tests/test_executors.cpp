@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <utility>
 
 #include "core/topology.hpp"
 #include "util/rng.hpp"
@@ -204,7 +205,7 @@ TEST(Reduce, SumsAtRoot) {
     std::vector<std::int64_t> wide(
         slices[static_cast<std::size_t>(ctx.pid())].begin(),
         slices[static_cast<std::size_t>(ctx.pid())].end());
-    const auto result = reduce<std::int64_t>(
+    const auto result = reduce_tree<std::int64_t>(
         ctx, wide, n, [](std::int64_t a, std::int64_t b) { return a + b; },
         std::int64_t{0}, {.root_pid = root, .shares = Shares::kBalanced});
     if (ctx.pid() == root) {
@@ -215,6 +216,63 @@ TEST(Reduce, SumsAtRoot) {
     }
   };
   (void)rt::run_program(t, kParams, program);
+}
+
+// --- the runtime's balanced-share enquiry -----------------------------------------
+
+/// Figure 1 and three seeded random trees with k >= 2, each small (the
+/// runtime starts one thread per processor). On each, at one of the sizes
+/// the tests use, a flat apportionment of every processor's global c gives
+/// other shares than the recursive per-cluster split.
+std::vector<MachineTree> enquiry_machines() {
+  std::vector<MachineTree> machines;
+  machines.push_back(make_figure1_cluster());
+  for (const auto& [levels, seed] :
+       {std::pair{2, std::uint64_t{1}}, std::pair{3, std::uint64_t{6}},
+        std::pair{3, std::uint64_t{13}}}) {
+    RandomTreeOptions options;
+    options.levels = levels;
+    options.max_fanout = 3;
+    machines.push_back(make_random_tree(options, seed));
+  }
+  return machines;
+}
+
+TEST(BalancedShareEnquiry, IsTheSplitTheBalancedCollectivesExpect) {
+  for (const MachineTree& t : enquiry_machines()) {
+    ASSERT_GE(t.height(), 2);
+    const rt::Program program = [&](rt::Hbsp& ctx) {
+      for (const std::size_t n : {7u, 100u, 701u, 12345u, 25000u}) {
+        const auto expected = leaf_shares(t, n, Shares::kBalanced);
+        EXPECT_EQ(ctx.balanced_shares(n), expected)
+            << "p=" << t.num_processors() << " n=" << n;
+        EXPECT_EQ(ctx.my_balanced_share(n),
+                  expected[static_cast<std::size_t>(ctx.pid())]);
+      }
+    };
+    (void)rt::run_program(t, kParams, program);
+  }
+}
+
+TEST(BalancedShareEnquiry, SizesABalancedGather) {
+  const MachineTree t = make_figure1_cluster();
+  const std::size_t n = 12345;
+  const int root = t.coordinator_pid(t.root());
+  const rt::Program program = [&](rt::Hbsp& ctx) {
+    const std::vector<std::int32_t> mine(ctx.my_balanced_share(n), ctx.pid());
+    const auto result = gather<std::int32_t>(
+        ctx, mine, n, {.root_pid = root, .shares = Shares::kBalanced});
+    if (ctx.pid() != root) return;
+    ASSERT_TRUE(result.has_value());
+    std::vector<std::int32_t> expected;
+    const auto shares = ctx.balanced_shares(n);
+    for (std::size_t pid = 0; pid < shares.size(); ++pid) {
+      expected.insert(expected.end(), shares[pid],
+                      static_cast<std::int32_t>(pid));
+    }
+    EXPECT_EQ(*result, expected);
+  };
+  EXPECT_NO_THROW((void)rt::run_program(t, kParams, program));
 }
 
 TEST(Scan, GlobalInclusivePrefix) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/topology.hpp"
 
@@ -98,6 +100,56 @@ TEST(MachineTree, AncestorAt) {
   EXPECT_EQ(tree.ancestor_at(0, 2), tree.root());
   EXPECT_EQ(tree.ancestor_at(4, 1), (MachineId{1, 1}));  // the SGI itself
   EXPECT_THROW((void)tree.ancestor_at(0, 3), std::invalid_argument);
+}
+
+std::vector<std::string> route_names(const MachineTree& tree, int src,
+                                     int dst) {
+  std::vector<MachineId> route;
+  tree.route(src, dst, route);
+  std::vector<std::string> names;
+  for (const MachineId id : route) names.push_back(tree.node(id).name);
+  return names;
+}
+
+TEST(MachineTreeRoute, IntraClusterCrossesOnlyThatNetwork) {
+  const MachineTree tree = make_figure1_cluster();
+  EXPECT_EQ(route_names(tree, 0, 1), (std::vector<std::string>{"smp"}));
+  EXPECT_EQ(route_names(tree, 5, 8), (std::vector<std::string>{"lan"}));
+}
+
+TEST(MachineTreeRoute, CrossClusterCrossesBothEndNetworksAndTheBackbone) {
+  const MachineTree tree = make_figure1_cluster();
+  EXPECT_EQ(route_names(tree, 0, 8),
+            (std::vector<std::string>{"smp", "campus", "lan"}));
+  // The SGI hangs directly off the campus network: one hop fewer.
+  EXPECT_EQ(route_names(tree, 4, 0),
+            (std::vector<std::string>{"campus", "smp"}));
+  EXPECT_EQ(route_names(tree, 0, 4),
+            (std::vector<std::string>{"smp", "campus"}));
+}
+
+TEST(MachineTreeRoute, SelfRouteIsEmpty) {
+  const MachineTree tree = make_figure1_cluster();
+  EXPECT_TRUE(route_names(tree, 3, 3).empty());
+}
+
+TEST(MachineTreeRoute, ThreeLevelRoute) {
+  const MachineTree tree = make_wide_area_grid();
+  // a-lab0 ws (pid 0) to b-lab1 ws: up through a-lab0, campus-a, wide-area,
+  // down through campus-b, b-lab1.
+  const auto [bf, bl] =
+      tree.processor_range(tree.child(tree.child(tree.root(), 1), 1));
+  // Source-side networks come first (leaf upward to the LCA), then the
+  // destination side's, also leaf upward; the *set* of crossed networks is
+  // what the simulator charges.
+  const auto names = route_names(tree, 0, bf);
+  ASSERT_EQ(names.size(), 5u);
+  EXPECT_EQ(names[0], "a-lab0");
+  EXPECT_EQ(names[1], "campus-a");
+  EXPECT_EQ(names[2], "wide-area");
+  EXPECT_EQ(names[3], "b-lab1");
+  EXPECT_EQ(names[4], "campus-b");
+  (void)bl;
 }
 
 TEST(MachineTree, ParentChildNavigation) {

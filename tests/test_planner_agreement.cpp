@@ -99,11 +99,10 @@ TEST_P(FlatAgreement, Reduce) {
   const CostModel model{t};
   const int root = t.coordinator_pid(t.root());
   const auto schedule =
-      coll::plan_reduce(t, n(), {.root_pid = root, .shares = shares()});
+      coll::plan_reduce_tree(t, n(), {.root_pid = root, .shares = shares()});
   validate_schedule(t, schedule);
-  EXPECT_DOUBLE_EQ(
-      model.cost(schedule).total(),
-      analysis::hbsp1_reduce(t, t.root(), root, n(), shares()).total());
+  EXPECT_DOUBLE_EQ(model.cost(schedule).total(),
+                   analysis::hbspk_reduce(t, n(), shares(), root).total());
 }
 
 TEST_P(FlatAgreement, Scan) {

@@ -171,6 +171,61 @@ TEST(Cli, PositiveDoubleRejectsBareBooleanForm) {
                std::invalid_argument);
 }
 
+TEST(Cli, IntAcceptsSignedIntegers) {
+  const char* argv[] = {"prog", "--seed=2001", "--offset", "-12", "--zero=0"};
+  Cli cli{5, argv};
+  EXPECT_EQ(cli.get_int("seed", 1), 2001);
+  EXPECT_EQ(cli.get_int("offset", 1), -12);
+  EXPECT_EQ(cli.get_int("zero", 1), 0);
+}
+
+TEST(Cli, IntRejectsJunk) {
+  // Junk must not parse as 0: that is seed 0, or for --capacity an unbounded
+  // admission queue.
+  for (const char* bad :
+       {"--seed=abc", "--capacity=abc", "--seed=4x", "--seed=", "--seed= 4",
+        "--seed=+4", "--seed=4.5", "--seed=-", "--seed=1e3",
+        "--seed=99999999999999999999999999", "--seed"}) {
+    const char* argv[] = {"prog", bad};
+    Cli cli{2, argv};
+    const std::string name = cli.has("capacity") ? "capacity" : "seed";
+    EXPECT_THROW((void)cli.get_int(name, 1), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Cli, DoubleAcceptsFiniteNumbers) {
+  const char* argv[] = {"prog", "--noise=0.05", "--shift", "-1.5", "--big=1e3"};
+  Cli cli{5, argv};
+  EXPECT_DOUBLE_EQ(cli.get_double("noise", 1.0), 0.05);
+  EXPECT_DOUBLE_EQ(cli.get_double("shift", 1.0), -1.5);
+  EXPECT_DOUBLE_EQ(cli.get_double("big", 1.0), 1000.0);
+}
+
+TEST(Cli, DoubleRejectsJunk) {
+  // Junk must not parse as 0: `--noise abc` would run without noise.
+  for (const char* bad : {"--noise=abc", "--noise=nan", "--noise=inf",
+                          "--noise=-inf", "--expired=abc", "--noise=0.5x",
+                          "--noise=", "--noise=1e999", "--noise"}) {
+    const char* argv[] = {"prog", bad};
+    Cli cli{2, argv};
+    const std::string name = cli.has("expired") ? "expired" : "noise";
+    EXPECT_THROW((void)cli.get_double(name, 1.0), std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(Cli, BadNumberErrorNamesTheFlag) {
+  const char* argv[] = {"prog", "--noise=abc"};
+  Cli cli{2, argv};
+  try {
+    (void)cli.get_double("noise", 1.0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("--noise"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Cli, DefaultsApplyWhenMissing) {
   const char* argv[] = {"prog"};
   Cli cli{1, argv};

@@ -1,4 +1,5 @@
-// Tests for workload partitioning (§3.3's c_{i,j}, §4.1's balanced shares).
+// Tests for workload partitioning (§3.3's c_{i,j}, §4.1's balanced shares)
+// and for the whole-machine split analysis::leaf_shares built on it.
 
 #include "core/workload.hpp"
 
@@ -6,6 +7,7 @@
 
 #include <numeric>
 
+#include "core/analysis.hpp"
 #include "core/topology.hpp"
 #include "util/rng.hpp"
 
@@ -83,34 +85,23 @@ TEST(BalancedPartition, SatisfiesPaperEfficiencyCondition) {
   }
 }
 
-TEST(TreePartition, FlatMatchesBalancedPartition) {
+TEST(LeafShares, FlatMatchesBalancedPartition) {
   const std::array r{1.0, 2.0, 4.0};
   const MachineTree tree = make_hbsp1_cluster(r);
-  EXPECT_EQ(tree_partition(tree, 700), balanced_partition(r, 700));
+  EXPECT_EQ(analysis::leaf_shares(tree, 700, analysis::Shares::kBalanced),
+            balanced_partition(r, 700));
 }
 
-TEST(TreePartition, SumsToNOnHierarchies) {
+TEST(LeafShares, SumsToNOnHierarchies) {
   const MachineTree tree = make_figure1_cluster();
-  const auto shares = tree_partition(tree, 12345);
+  const auto shares =
+      analysis::leaf_shares(tree, 12345, analysis::Shares::kBalanced);
   EXPECT_EQ(std::accumulate(shares.begin(), shares.end(), std::size_t{0}),
             12345u);
-  // The SMP's identical cpus share equally among themselves.
-  EXPECT_EQ(shares[0], shares[1]);
-  EXPECT_EQ(shares[1], shares[2]);
-}
-
-TEST(SubtreePartition, CoversSubtreeExactly) {
-  const MachineTree tree = make_figure1_cluster();
-  const MachineId lan = tree.child(tree.root(), 2);
-  const auto shares = subtree_partition(tree, lan, 1000);
-  const auto [first, last] = tree.processor_range(lan);
-  EXPECT_EQ(shares.size(), static_cast<std::size_t>(last - first));
-  EXPECT_EQ(std::accumulate(shares.begin(), shares.end(), std::size_t{0}),
-            1000u);
-  // Faster LAN members receive more.
-  for (std::size_t i = 1; i < shares.size(); ++i) {
-    EXPECT_GE(shares[i - 1], shares[i]);
-  }
+  // The SMP's identical cpus split the SMP's share equally among themselves
+  // (the leftover item to the lowest pid, as in any equal split).
+  const std::vector<std::size_t> smp(shares.begin(), shares.begin() + 3);
+  EXPECT_EQ(smp, equal_partition(smp[0] + smp[1] + smp[2], 3));
 }
 
 class ApportionProperty : public ::testing::TestWithParam<std::uint64_t> {};
