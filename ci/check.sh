@@ -14,7 +14,8 @@
 #                               #   shapes
 #   CONFIG=relperf ci/check.sh  # Release: perf_snapshot twice (process-level
 #                               #   counter determinism) + warm-cache timing
-#                               #   + perfbench/determinism.py
+#                               #   + perfbench/determinism.py, its lines
+#                               #   diffed against ci/perfbench_determinism.txt
 #   JOBS=8 ci/check.sh          # parallel build/test width
 #
 # Each configuration builds into its own tree (build-ci, build-ci-tsan,
@@ -232,7 +233,18 @@ relperf_leg() {
   # digests and cold-cycle plancache.*/scenario.* hit and miss counts must
   # match at 1 vs 4 threads and differ between seeds 1 and 2.
   echo "== perfbench determinism"
-  python3 perfbench/determinism.py --seconds 1
+  python3 perfbench/determinism.py --seconds 1 | tee "${dir}/perfbench_determinism.out"
+
+  # The same lines pinned against the committed ones, so an output that
+  # moves fails here even when it moves alike at every thread count and
+  # seed. Only the indented "deterministic:" lines are pinned; the
+  # "threads 1 vs N" lines name the host's core count. After checking why a
+  # line moved, re-pin with
+  #   python3 perfbench/determinism.py --seconds 1 \
+  #     | grep '^    deterministic' > ci/perfbench_determinism.txt
+  echo "== perfbench determinism lines vs ci/perfbench_determinism.txt"
+  grep '^    deterministic' "${dir}/perfbench_determinism.out" \
+    | diff ci/perfbench_determinism.txt -
 }
 
 case "${CONFIG}" in

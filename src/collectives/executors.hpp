@@ -92,9 +92,7 @@ std::optional<std::vector<T>> gather(rt::Hbsp& ctx, std::span<const T> mine,
                                      std::size_t n,
                                      const RootedOptions& options = {}) {
   const MachineTree& tree = ctx.machine();
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
+  const int root_pid = normalize_root(tree, options.root_pid);
   const auto shares = leaf_shares(tree, n, options.shares);
   if (mine.size() != shares[static_cast<std::size_t>(ctx.pid())]) {
     throw std::invalid_argument{"gather: local data does not match the plan"};
@@ -144,9 +142,7 @@ template <typename T>
 std::vector<T> scatter(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
                        const RootedOptions& options = {}) {
   const MachineTree& tree = ctx.machine();
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
+  const int root_pid = normalize_root(tree, options.root_pid);
   const auto shares = leaf_shares(tree, n, options.shares);
 
   // Prefix offsets: items of pid `p` live at [offset[p], offset[p+1]).
@@ -226,9 +222,7 @@ template <typename T>
 std::vector<T> broadcast(rt::Hbsp& ctx, std::span<const T> input, std::size_t n,
                          const BroadcastOptions& options = {}) {
   const MachineTree& tree = ctx.machine();
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
+  const int root_pid = normalize_root(tree, options.root_pid);
 
   std::vector<T> full;
   if (ctx.pid() == root_pid) {
@@ -418,9 +412,7 @@ std::optional<T> reduce_tree(rt::Hbsp& ctx, std::span<const T> mine,
   if (tree.num_children(tree.root()) == 0) {
     throw std::invalid_argument{"reduce_tree: single-processor machine"};
   }
-  const int root_pid = options.root_pid < 0
-                           ? tree.coordinator_pid(tree.root())
-                           : options.root_pid;
+  const int root_pid = normalize_root(tree, options.root_pid);
   const auto shares = leaf_shares(tree, n, options.shares);
   if (mine.size() != shares[static_cast<std::size_t>(ctx.pid())]) {
     throw std::invalid_argument{"reduce_tree: local data does not match the plan"};

@@ -82,7 +82,9 @@ std::shared_ptr<const CachedPlan> PlanCache::get(const MachineTree& tree,
   if (built) {
     registry.gauge("plancache.size").set(static_cast<double>(size()));
   } else {
-    registry.counter("plancache.hits").increment();
+    // Resolved once per thread, as sim::add_to_registry's handles are.
+    thread_local obs::Counter hits = registry.counter("plancache.hits");
+    hits.increment();
   }
   return plan;
 }

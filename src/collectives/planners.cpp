@@ -19,14 +19,6 @@ void note_plan(const std::string& kind) {
   registry.counter("coll.plan." + kind).increment();
 }
 
-int normalize_root(const MachineTree& tree, int root_pid) {
-  if (root_pid < 0) return tree.coordinator_pid(tree.root());
-  if (root_pid >= tree.num_processors()) {
-    throw std::invalid_argument{"bad root pid " + std::to_string(root_pid)};
-  }
-  return root_pid;
-}
-
 /// Adds the two-phase broadcast of `n` items from `cluster`'s data site to
 /// every child's data site: a scatter plan into `scatter_phase` and a total
 /// exchange plan into `exchange_phase`.

@@ -12,9 +12,10 @@
 // the machine tree (the paper gives k <= 2 and notes "one can generalize the
 // approach given here"); allgather has a flat total exchange and a tree form;
 // scan and alltoall ([20]) are single-cluster (HBSP^1) algorithms. Every
-// planner reads its per-processor shares (leaf_shares) and its endpoints
-// (cluster_target, data_site) from core/analysis, the same helpers the closed
-// forms use; they are re-exported here.
+// planner reads its per-processor shares (leaf_shares), its root
+// (normalize_root) and its endpoints (cluster_target, data_site) from
+// core/analysis, the same helpers the closed forms use; they are re-exported
+// here.
 
 #include <cstddef>
 
@@ -27,11 +28,13 @@ namespace hbsp::coll {
 using analysis::cluster_target;
 using analysis::data_site;
 using analysis::leaf_shares;
+using analysis::normalize_root;
 using analysis::Shares;
 using analysis::TopPhase;
 
 /// Options shared by the rooted collectives. root_pid < 0 selects the
-/// machine's coordinator (its fastest processor), the paper's default.
+/// machine's coordinator (its fastest processor), the paper's default; a
+/// pid outside the machine is rejected (normalize_root).
 struct RootedOptions {
   int root_pid = -1;
   Shares shares = Shares::kBalanced;

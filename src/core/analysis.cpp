@@ -100,6 +100,14 @@ Members cluster_members(const MachineTree& tree, MachineId cluster,
   return members;
 }
 
+int normalize_root(const MachineTree& tree, int root_pid) {
+  if (root_pid < 0) return tree.coordinator_pid(tree.root());
+  if (root_pid >= tree.num_processors()) {
+    throw std::invalid_argument{"bad root pid " + std::to_string(root_pid)};
+  }
+  return root_pid;
+}
+
 int cluster_target(const MachineTree& tree, MachineId cluster, int root_pid) {
   if (root_pid >= 0) {
     const auto [first, last] = tree.processor_range(cluster);
@@ -370,7 +378,7 @@ AlgoCost hbspk_reduce(const MachineTree& tree, std::size_t n, Shares shares,
   if (tree.num_children(tree.root()) == 0) {
     throw std::invalid_argument{"hbspk_reduce: single-processor machine"};
   }
-  const int root = root_pid < 0 ? tree.coordinator_pid(tree.root()) : root_pid;
+  const int root = normalize_root(tree, root_pid);
   const double op_cost = tree.g();
 
   // Ops owed by each data site: initially every processor's local combine.

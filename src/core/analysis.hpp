@@ -9,8 +9,9 @@
 // machine (so its r is the cluster minimum), shares are either equal (n/m,
 // the "unbalanced" heterogeneous case) or balanced (x_j = c_j·n), and a
 // machine never sends to itself (§5.2). Per-processor shares come from
-// leaf_shares and message endpoints from data_site, the helpers at the end of
-// this header that the planners call too.
+// leaf_shares, the root from normalize_root and message endpoints from
+// data_site, the helpers at the end of this header that the planners call
+// too.
 
 #include <cstddef>
 #include <optional>
@@ -134,7 +135,7 @@ enum class TopPhase {
 /// combine. On a flat machine this is the HBSP^1 reduce: local combine
 /// (x_j − 1 ops) and one partial per member to the root, then the root's
 /// combine of the m partials. Matches CostModel(plan_reduce_tree(...))
-/// exactly.
+/// exactly. `root_pid` is resolved by normalize_root.
 [[nodiscard]] AlgoCost hbspk_reduce(const MachineTree& tree, std::size_t n,
                                     Shares shares, int root_pid = -1);
 
@@ -187,6 +188,12 @@ struct Members {
 /// is a processor.
 [[nodiscard]] Members cluster_members(const MachineTree& tree, MachineId cluster,
                                       std::size_t n, Shares shares);
+
+/// The root processor of a rooted collective on `tree`: the machine's
+/// coordinator when `root_pid` < 0, else `root_pid`, which must be a pid of
+/// the machine (std::invalid_argument "bad root pid N" otherwise). Planners,
+/// executors and closed forms all resolve their root here.
+[[nodiscard]] int normalize_root(const MachineTree& tree, int root_pid);
 
 /// Where a cluster's gathered/broadcast data lives in a rooted collective:
 /// `root_pid` when it is inside the cluster, otherwise the cluster's

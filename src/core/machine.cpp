@@ -152,6 +152,21 @@ MachineTree MachineTree::build(const MachineSpec& root, double g) {
         std::to_string(min_r) + ")"};
   }
 
+  // Each node's slowest processor, by a flat scan of its pid range. Not
+  // combined from the children's answers: with the kEps tolerance, a scan
+  // over near-equal r values depends on the order it meets them in.
+  for (auto& row : tree.levels_) {
+    for (Node& n : row) {
+      int slowest = n.leaf_begin;
+      for (int pid = n.leaf_begin + 1; pid < n.leaf_end; ++pid) {
+        if (tree.processor_r(pid) > tree.processor_r(slowest) + kEps) {
+          slowest = pid;
+        }
+      }
+      n.slowest_pid = slowest;
+    }
+  }
+
   // Each processor's ancestor at every level, so the per-message queries
   // never walk parent links.
   const std::size_t num_pids = tree.processors_.size();
@@ -244,15 +259,6 @@ void MachineTree::throw_bad_pid(int pid) {
 std::pair<int, int> MachineTree::processor_range(MachineId id) const {
   const Node& n = node(id);
   return {n.leaf_begin, n.leaf_end};
-}
-
-int MachineTree::slowest_pid(MachineId id) const {
-  const auto [first, last] = processor_range(id);
-  int slowest = first;
-  for (int pid = first + 1; pid < last; ++pid) {
-    if (processor_r(pid) > processor_r(slowest) + kEps) slowest = pid;
-  }
-  return slowest;
 }
 
 int MachineTree::lca_level(int pid_a, int pid_b) const {

@@ -67,6 +67,7 @@ class MachineTree {
     std::vector<int> children; ///< indices at level-1
     int pid = -1;              ///< processor id if childless, else -1
     int coordinator_pid = -1;  ///< fastest processor in this subtree
+    int slowest_pid = -1;      ///< slowest processor in this subtree
     int leaf_begin = 0;        ///< subtree processors occupy [leaf_begin,
     int leaf_end = 0;          ///<   leaf_end) in pid order
   };
@@ -140,9 +141,11 @@ class MachineTree {
   /// (lowest r; ties broken by lowest pid). For a childless node, itself.
   [[nodiscard]] int coordinator_pid(MachineId id) const { return node(id).coordinator_pid; }
 
-  /// The slowest processor in `id`'s subtree (highest r, ties by lowest pid).
-  /// O(processors in the subtree).
-  [[nodiscard]] int slowest_pid(MachineId id) const;
+  /// The slowest processor in `id`'s subtree (highest r, ties by lowest
+  /// pid): a scan in pid order that moves past the best so far only for an
+  /// r more than 1e-9 above it. Stored at build; for a childless node,
+  /// itself.
+  [[nodiscard]] int slowest_pid(MachineId id) const { return node(id).slowest_pid; }
 
   /// Level of the lowest common ancestor of two processors: the network level
   /// a message between them must cross (1 = same cluster, ..., k = top).

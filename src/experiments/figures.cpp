@@ -1,6 +1,7 @@
 #include "experiments/figures.hpp"
 
 #include <string>
+#include <vector>
 
 #include "collectives/plan_cache.hpp"
 #include "core/topology.hpp"
@@ -17,36 +18,41 @@ using coll::Shares;
 /// or equal vs balanced shares at the fastest root (3b, 4b).
 enum class Comparison { kRoot, kBalance };
 
-/// The one body of the four figure sweeps. Root cells run on the true
-/// testbed; balance cells on the cell's BYTEmark-ranked one, whose noise
+/// The one body of the four figure sweeps. The true testbed of each p is
+/// built once, before any cell runs, and cells only read it. Root cells run
+/// on it; balance cells on the cell's BYTEmark-ranked copy of it, whose noise
 /// stream has the config's sigma and a seed split from the master by the
 /// cell's grid position.
 ImprovementTable figure_sweep(const FigureConfig& config, SweepRunner& runner,
                               CollectiveKind kind, Comparison comparison) {
+  std::vector<MachineTree> testbeds;
+  testbeds.reserve(config.processors.size());
+  for (const int p : config.processors) {
+    testbeds.push_back(make_paper_testbed(p, config.g, config.L));
+  }
   return runner.run(
       {config.processors, config.kbytes, config.noise.seed},
-      [&config, kind, comparison](const SweepCell& cell) {
-        const bool balance = comparison == Comparison::kBalance;
-        const MachineTree tree =
-            balance ? make_ranked_testbed(
-                          cell.p, config,
-                          {.stddev = config.noise.stddev, .seed = cell.seed})
-                    : make_paper_testbed(cell.p, config.g, config.L);
-        const int fast = tree.coordinator_pid(tree.root());
+      [&config, &testbeds, kind, comparison](const SweepCell& cell) {
+        const MachineTree& truth = testbeds[cell.row];
         const auto request = [&](int root_pid, Shares shares) {
           return PlanRequest{.kind = kind,
                              .n = cell.n,
                              .root_pid = root_pid,
                              .shares = shares};
         };
-        if (balance) {
-          return improvement_factor(tree, request(fast, Shares::kEqual),
+        if (comparison == Comparison::kBalance) {
+          const MachineTree ranked = make_ranked_testbed(
+              truth, config,
+              {.stddev = config.noise.stddev, .seed = cell.seed});
+          const int fast = ranked.coordinator_pid(ranked.root());
+          return improvement_factor(ranked, request(fast, Shares::kEqual),
                                     request(fast, Shares::kBalanced),
                                     config.sim);
         }
         return improvement_factor(
-            tree, request(tree.slowest_pid(tree.root()), Shares::kEqual),
-            request(fast, Shares::kEqual), config.sim);
+            truth, request(truth.slowest_pid(truth.root()), Shares::kEqual),
+            request(truth.coordinator_pid(truth.root()), Shares::kEqual),
+            config.sim);
       });
 }
 
@@ -64,9 +70,9 @@ double simulate_makespan(const MachineTree& tree, const coll::CachedPlan& plan,
   return ScenarioCache::global().makespan(tree, plan, params, injector);
 }
 
-MachineTree make_ranked_testbed(int p, const FigureConfig& config,
+MachineTree make_ranked_testbed(const MachineTree& truth,
+                                const FigureConfig& config,
                                 const bytemark::NoiseOptions& noise) {
-  const MachineTree truth = make_paper_testbed(p, config.g, config.L);
   const bytemark::Ranking ranking = bytemark::rank_simulated(truth, noise);
 
   // True r values (the hardware doesn't change), estimated c fractions (the
@@ -74,11 +80,10 @@ MachineTree make_ranked_testbed(int p, const FigureConfig& config,
   MachineSpec root;
   root.name = "testbed";
   root.sync_L = config.L;
-  const auto speeds = paper_testbed_speeds();
-  for (int pid = 0; pid < p; ++pid) {
+  for (int pid = 0; pid < truth.num_processors(); ++pid) {
     MachineSpec leaf;
     leaf.name = "ws" + std::to_string(pid);
-    leaf.r = speeds[static_cast<std::size_t>(pid)];
+    leaf.r = truth.processor_r(pid);
     leaf.c = ranking.fractions[static_cast<std::size_t>(pid)];
     root.children.push_back(std::move(leaf));
   }

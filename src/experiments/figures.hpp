@@ -19,10 +19,12 @@
 //
 // Every cell of every sweep, and of the chaos grid (chaos.hpp), is one
 // improvement_factor call. All four sweeps execute on a caller-owned
-// SweepRunner (sweep.hpp): grid cells are independent, so they shard across
-// the runner's workers, and each cell's BYTEmark noise stream is split from
+// SweepRunner (sweep.hpp): each sweep builds the true testbed of every p
+// once, up front, and grid cells only read it, so they shard across the
+// runner's workers; each cell's BYTEmark noise stream is split from
 // `noise.seed` (the master seed) by the cell's grid position — the table is
-// bit-identical at any thread count.
+// bit-identical at any thread count. A p outside [2, 10] throws
+// std::invalid_argument before any cell runs.
 
 #include <cstddef>
 #include <vector>
@@ -69,12 +71,14 @@ struct FigureConfig {
     const sim::SimParams& params,
     const faults::FaultInjector* injector = nullptr);
 
-/// The first p testbed machines with workload fractions re-estimated from a
-/// noisy simulated BYTEmark run (true r values, estimated c values) — the
-/// machine description a practitioner following §5.1 would actually have.
-/// `noise` is the per-cell stream inside sweeps, config.noise elsewhere.
+/// The true testbed `truth` (make_paper_testbed(p, config.g, config.L)) with
+/// workload fractions re-estimated from a noisy simulated BYTEmark run of it
+/// (true r values, estimated c values) — the machine description a
+/// practitioner following §5.1 would actually have. `noise` is the per-cell
+/// stream inside sweeps, config.noise elsewhere.
 [[nodiscard]] MachineTree make_ranked_testbed(
-    int p, const FigureConfig& config, const bytemark::NoiseOptions& noise);
+    const MachineTree& truth, const FigureConfig& config,
+    const bytemark::NoiseOptions& noise);
 
 /// One experiment cell: T_numerator / T_denominator, the simulated makespans
 /// of two plans of one collective on `tree`. Both plans come from

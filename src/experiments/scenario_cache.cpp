@@ -67,7 +67,9 @@ double ScenarioCache::keyed_makespan(const MachineTree& tree,
   if (simulated) {
     registry.gauge("scenario.size").set(static_cast<double>(size()));
   } else {
-    registry.counter("scenario.hits").increment();
+    // Resolved once per thread, as sim::add_to_registry's handles are.
+    thread_local obs::Counter hits = registry.counter("scenario.hits");
+    hits.increment();
     // Write the builder's run record again so totals are identical to an
     // uncached re-simulation.
     sim::add_to_registry(result->metrics);

@@ -2,8 +2,9 @@
 // Deterministic parallel sweep engine for the §5 grid experiments.
 //
 // The paper's protocol is a p × problem-size grid whose cells are mutually
-// independent: each cell builds its own machine tree, plans its own
-// schedules, and runs its own simulation. SweepRunner shards those cells
+// independent: the figure sweeps build one machine tree per p before the
+// grid runs, and each cell only reads it, plans its own schedules, and runs
+// its own simulation. SweepRunner shards those cells
 // across a util::ThreadPool and hands every cell a private util::Rng stream
 // whose seed is split from the sweep's master seed by the cell's *position*
 // (row-major index) — never by execution order — so the resulting table is

@@ -1,26 +1,41 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
 
 namespace hbsp::obs {
 
+namespace {
+
+/// bucket_lower_bound(1..kHistogramBuckets - 1): 1e-9, then each bound four
+/// times the one before.
+constexpr std::array<double, kHistogramBuckets - 1> kBucketBounds = [] {
+  std::array<double, kHistogramBuckets - 1> bounds{};
+  double bound = 1e-9;
+  for (double& b : bounds) {
+    b = bound;
+    bound *= 4.0;
+  }
+  return bounds;
+}();
+
+}  // namespace
+
 double bucket_lower_bound(std::size_t i) noexcept {
   if (i == 0) return 0.0;
-  double bound = 1e-9;
-  for (std::size_t k = 1; k < i; ++k) bound *= 4.0;
-  return bound;
+  if (i >= kHistogramBuckets) return std::numeric_limits<double>::infinity();
+  return kBucketBounds[i - 1];
 }
 
 std::size_t bucket_index(double value) noexcept {
-  std::size_t i = 0;
-  double bound = 1e-9;
-  while (i + 1 < kHistogramBuckets && value >= bound) {
-    ++i;
-    bound *= 4.0;
-  }
-  return i;
+  // The number of bounds at or below `value`; NaN is at or above none.
+  const auto above = std::partition_point(
+      kBucketBounds.begin(), kBucketBounds.end(),
+      [value](double bound) { return value >= bound; });
+  return static_cast<std::size_t>(above - kBucketBounds.begin());
 }
 
 namespace detail {

@@ -20,9 +20,14 @@
 //
 // Handles (Counter/Gauge/Histogram) are bound to the shard of the thread
 // that fetched them and must not be shared across threads; fetching the
-// same name from another thread yields that thread's own cell. reset() and
-// snapshot() may race with writers only in the trivial sense of missing
-// in-flight increments; call them at quiescent points (between workloads).
+// same name from another thread yields that thread's own cell. A handle
+// stays valid as long as its registry: shards live until the registry is
+// destroyed, and reset() zeroes cells in place and never erases one. So a
+// thread may resolve its handles once (a function-local thread_local) and
+// write through them for the rest of the process, across resets; the hot
+// paths that replay cache hits do. reset() and snapshot() may race with
+// writers only in the trivial sense of missing in-flight increments; call
+// them at quiescent points (between workloads).
 
 #include <cstddef>
 #include <cstdint>
@@ -40,13 +45,15 @@ namespace hbsp::obs {
 /// [bucket_lower_bound(i), bucket_lower_bound(i + 1)).
 inline constexpr std::size_t kHistogramBuckets = 40;
 
-/// Lower bound of bucket i: 0 for i = 0, else 1e-9 * 4^(i-1). The range
-/// covers nanoseconds to ~10^4 seconds, enough for every virtual or wall
-/// time this repository measures.
+/// Lower bound of bucket i: 0 for i = 0, else 1e-9 * 4^(i-1), and +inf for
+/// i >= kHistogramBuckets (the last bucket is open above). The range covers
+/// nanoseconds to ~10^4 seconds, enough for every virtual or wall time this
+/// repository measures.
 [[nodiscard]] double bucket_lower_bound(std::size_t i) noexcept;
 
-/// Bucket index of `value` (values < bound(1) land in bucket 0, values past
-/// the last bound land in the last bucket).
+/// Bucket index of `value` (values < bound(1) and NaN land in bucket 0,
+/// values past the last bound land in the last bucket). A binary search of
+/// the bounds bucket_lower_bound reads.
 [[nodiscard]] std::size_t bucket_index(double value) noexcept;
 
 namespace detail {
@@ -186,7 +193,8 @@ class Registry {
   /// Merges all shards by name (see the merge rules above).
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zeroes every cell in every shard. Call only while no thread is
+  /// Zeroes every cell in every shard, in place: cells are never erased,
+  /// so handles fetched before stay valid. Call only while no thread is
   /// writing (between workloads, between tests).
   void reset();
 

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -161,29 +160,58 @@ SimResult ClusterSim::run(const CommSchedule& schedule) {
 }
 
 void add_to_registry(const RunMetrics& metrics) {
-  auto& registry = obs::Registry::global();
-  registry.counter("sim.runs").add(metrics.runs);
-  registry.counter("sim.phases").add(metrics.phases);
-  registry.counter("sim.plans").add(metrics.plans);
-  registry.counter("sim.ghost_plans").add(metrics.ghost_plans);
-  registry.counter("sim.send_attempts").add(metrics.send_attempts);
-  registry.counter("sim.messages_delivered").add(metrics.messages_delivered);
-  registry.counter("sim.messages_lost").add(metrics.messages_lost);
-  registry.counter("sim.retries").add(metrics.retries);
-  registry.counter("sim.machines_excluded").add(metrics.excluded_pids.size());
-  registry.counter("sim.barriers").add(metrics.barriers);
-  registry.counter("sim.barrier_stalls").add(metrics.barrier_stalls);
-  registry.counter("sim.slowdown_hits").add(metrics.slowdown_hits);
-  registry.counter("sim.events").add(metrics.events);
-  const auto record = [&registry](std::string_view name,
-                                  const std::vector<double>& samples) {
-    if (samples.empty()) return;
-    obs::Histogram histogram = registry.histogram(name);
+  // Handles into the calling thread's shard, resolved on its first call, so
+  // a scenario hit replays its record without a name lookup (handles stay
+  // valid across Registry::reset(), see metrics.hpp).
+  struct Handles {
+    obs::Counter runs, phases, plans, ghost_plans, send_attempts,
+        messages_delivered, messages_lost, retries, machines_excluded,
+        barriers, barrier_stalls, slowdown_hits, events;
+    obs::Histogram plan_wire_seconds, plan_span_seconds, run_makespan_seconds;
+  };
+  thread_local Handles handles = [] {
+    auto& registry = obs::Registry::global();
+    return Handles{
+        .runs = registry.counter("sim.runs"),
+        .phases = registry.counter("sim.phases"),
+        .plans = registry.counter("sim.plans"),
+        .ghost_plans = registry.counter("sim.ghost_plans"),
+        .send_attempts = registry.counter("sim.send_attempts"),
+        .messages_delivered = registry.counter("sim.messages_delivered"),
+        .messages_lost = registry.counter("sim.messages_lost"),
+        .retries = registry.counter("sim.retries"),
+        .machines_excluded = registry.counter("sim.machines_excluded"),
+        .barriers = registry.counter("sim.barriers"),
+        .barrier_stalls = registry.counter("sim.barrier_stalls"),
+        .slowdown_hits = registry.counter("sim.slowdown_hits"),
+        .events = registry.counter("sim.events"),
+        .plan_wire_seconds = registry.histogram("sim.plan_wire_seconds"),
+        .plan_span_seconds = registry.histogram("sim.plan_span_seconds"),
+        .run_makespan_seconds = registry.histogram("sim.run_makespan_seconds"),
+    };
+  }();
+  handles.runs.add(metrics.runs);
+  handles.phases.add(metrics.phases);
+  handles.plans.add(metrics.plans);
+  handles.ghost_plans.add(metrics.ghost_plans);
+  handles.send_attempts.add(metrics.send_attempts);
+  handles.messages_delivered.add(metrics.messages_delivered);
+  handles.messages_lost.add(metrics.messages_lost);
+  handles.retries.add(metrics.retries);
+  handles.machines_excluded.add(metrics.excluded_pids.size());
+  handles.barriers.add(metrics.barriers);
+  handles.barrier_stalls.add(metrics.barrier_stalls);
+  handles.slowdown_hits.add(metrics.slowdown_hits);
+  handles.events.add(metrics.events);
+  // One record() per sample, in capture order: a pre-summed replay would
+  // round differently and move the histogram sums' last bits.
+  const auto record = [](obs::Histogram& histogram,
+                         const std::vector<double>& samples) {
     for (const double s : samples) histogram.record(s);
   };
-  record("sim.plan_wire_seconds", metrics.plan_wire_seconds);
-  record("sim.plan_span_seconds", metrics.plan_span_seconds);
-  record("sim.run_makespan_seconds", metrics.run_makespan_seconds);
+  record(handles.plan_wire_seconds, metrics.plan_wire_seconds);
+  record(handles.plan_span_seconds, metrics.plan_span_seconds);
+  record(handles.run_makespan_seconds, metrics.run_makespan_seconds);
 }
 
 void ClusterSim::commit() {

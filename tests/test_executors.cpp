@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/topology.hpp"
 #include "util/rng.hpp"
@@ -355,6 +359,72 @@ TEST(Executors, RejectMismatchedLocalData) {
   };
   EXPECT_THROW((void)rt::run_program(t, kParams, program),
                std::invalid_argument);
+}
+
+// --- one root rule ----------------------------------------------------------------
+
+/// A pid outside make_paper_testbed(5). Each rooted collective must refuse
+/// it as normalize_root does, on every processor, before any superstep.
+constexpr int kBadRoot = 99;
+constexpr std::size_t kRootN = 100;
+
+/// Runs `program` on make_paper_testbed(5) and expects the runtime to
+/// rethrow normalize_root's error.
+void expect_bad_root(const rt::Program& program) {
+  try {
+    (void)rt::run_program(make_paper_testbed(5), kParams, program);
+    ADD_FAILURE() << "root pid " << kBadRoot << " was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "bad root pid 99");
+  }
+}
+
+/// The caller's balanced share of kRootN items, each `value`.
+template <typename T>
+std::vector<T> my_share(const rt::Hbsp& ctx, T value) {
+  const auto shares = leaf_shares(ctx.machine(), kRootN, Shares::kBalanced);
+  return std::vector<T>(shares[static_cast<std::size_t>(ctx.pid())], value);
+}
+
+TEST(RootRule, GatherRejectsARootOutsideTheMachine) {
+  expect_bad_root([](rt::Hbsp& ctx) {
+    const auto mine = my_share<std::int32_t>(ctx, 1);
+    (void)gather<std::int32_t>(ctx, mine, kRootN, {.root_pid = kBadRoot});
+  });
+}
+
+TEST(RootRule, ScatterRejectsARootOutsideTheMachine) {
+  expect_bad_root([](rt::Hbsp& ctx) {
+    const auto all = iota_vector(kRootN);
+    (void)scatter<std::int32_t>(ctx, all, kRootN, {.root_pid = kBadRoot});
+  });
+}
+
+TEST(RootRule, BroadcastRejectsARootOutsideTheMachine) {
+  expect_bad_root([](rt::Hbsp& ctx) {
+    const auto all = iota_vector(kRootN);
+    (void)broadcast<std::int32_t>(ctx, all, kRootN, {.root_pid = kBadRoot});
+  });
+}
+
+TEST(RootRule, ReduceRejectsARootOutsideTheMachine) {
+  expect_bad_root([](rt::Hbsp& ctx) {
+    const auto mine = my_share<std::int64_t>(ctx, 1);
+    (void)reduce_tree<std::int64_t>(ctx, mine, kRootN, std::plus<>{},
+                                    std::int64_t{0}, {.root_pid = kBadRoot});
+  });
+}
+
+TEST(RootRule, ClosedFormAndPlannerRejectARootOutsideTheMachine) {
+  const MachineTree tree = make_paper_testbed(5);
+  EXPECT_THROW(
+      (void)analysis::hbspk_reduce(tree, kRootN, Shares::kBalanced, kBadRoot),
+      std::invalid_argument);
+  EXPECT_THROW((void)plan_reduce_tree(tree, kRootN, {.root_pid = kBadRoot}),
+               std::invalid_argument);
+  EXPECT_EQ(normalize_root(tree, -1), tree.coordinator_pid(tree.root()));
+  EXPECT_EQ(normalize_root(tree, 4), 4);
+  EXPECT_THROW((void)normalize_root(tree, 5), std::invalid_argument);
 }
 
 TEST(Executors, FlatOnlyCollectivesRejectHierarchies) {

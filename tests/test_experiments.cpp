@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "sim/cluster_sim.hpp"
 
@@ -85,7 +86,8 @@ TEST(SimulateMakespan, MatchesDirectSimulatorUse) {
 TEST(RankedTestbed, SharesSumToOne) {
   const FigureConfig config;
   for (const int p : {2, 5, 10}) {
-    const MachineTree tree = make_ranked_testbed(p, config, config.noise);
+    const MachineTree tree = make_ranked_testbed(
+        make_paper_testbed(p, config.g, config.L), config, config.noise);
     double total = 0.0;
     for (int pid = 0; pid < p; ++pid) {
       total += tree.c(tree.processor(pid));
@@ -97,12 +99,28 @@ TEST(RankedTestbed, SharesSumToOne) {
 TEST(RankedTestbed, ZeroNoiseReproducesIdealShares) {
   FigureConfig config;
   config.noise.stddev = 0.0;
-  const MachineTree ranked = make_ranked_testbed(6, config, config.noise);
   const MachineTree ideal = make_paper_testbed(6, config.g, config.L);
+  const MachineTree ranked = make_ranked_testbed(ideal, config, config.noise);
   for (int pid = 0; pid < 6; ++pid) {
     EXPECT_NEAR(ranked.c(ranked.processor(pid)), ideal.c(ideal.processor(pid)),
                 1e-9);
   }
+}
+
+TEST(FigureSweep, BadProcessorCountThrows) {
+  // The testbeds are built before the grid runs, so an out-of-range p fails
+  // the whole sweep up front, whichever figure asks.
+  FigureConfig config = tiny();
+  config.processors = {2, 11};
+  SweepRunner runner;
+  EXPECT_THROW((void)gather_root_experiment(config, runner),
+               std::invalid_argument);
+  EXPECT_THROW((void)gather_balance_experiment(config, runner),
+               std::invalid_argument);
+  EXPECT_THROW((void)broadcast_root_experiment(config, runner),
+               std::invalid_argument);
+  EXPECT_THROW((void)broadcast_balance_experiment(config, runner),
+               std::invalid_argument);
 }
 
 TEST(ImprovementTable, RendersWithUnits) {

@@ -126,8 +126,8 @@ TEST(Figures, TableRendering) {
 
 TEST(RankedTestbed, UsesTrueRAndEstimatedC) {
   FigureConfig config;
-  const MachineTree ranked = make_ranked_testbed(5, config, config.noise);
   const MachineTree truth = make_paper_testbed(5, config.g, config.L);
+  const MachineTree ranked = make_ranked_testbed(truth, config, config.noise);
   for (int pid = 0; pid < 5; ++pid) {
     EXPECT_DOUBLE_EQ(ranked.processor_r(pid), truth.processor_r(pid));
     // Estimated c is near but (with noise) not exactly the ideal c.

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -53,6 +56,69 @@ TEST(MachineTree, CoordinatorTieBreaksToLowestPid) {
   const MachineTree tree = make_hbsp1_cluster(std::array{1.0, 1.0, 1.0});
   EXPECT_EQ(tree.coordinator_pid(tree.root()), 0);
   EXPECT_EQ(tree.slowest_pid(tree.root()), 0);
+}
+
+// --- slowest_pid, stored per node at build ----------------------------------
+
+/// The reference rule: a flat scan of the subtree's pids in order, where a
+/// later pid replaces the best so far only if its r is higher by more than
+/// 1e-9.
+int scanned_slowest(const MachineTree& tree, MachineId id) {
+  const auto [first, last] = tree.processor_range(id);
+  int slowest = first;
+  for (int pid = first + 1; pid < last; ++pid) {
+    if (tree.processor_r(pid) > tree.processor_r(slowest) + 1e-9) slowest = pid;
+  }
+  return slowest;
+}
+
+void expect_slowest_is_the_scan(const MachineTree& tree) {
+  for (int level = 0; level < tree.num_levels(); ++level) {
+    for (int j = 0; j < tree.machines_at(level); ++j) {
+      const MachineId id{level, j};
+      EXPECT_EQ(tree.slowest_pid(id), scanned_slowest(tree, id))
+          << "node (" << level << ", " << j << ")";
+    }
+  }
+}
+
+TEST(MachineTreeSlowest, EveryNodeMatchesTheFlatScan) {
+  expect_slowest_is_the_scan(make_figure1_cluster());
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    RandomTreeOptions options;
+    options.levels = 1 + static_cast<int>(seed % 4);  // k = 1..4
+    options.max_fanout = 3;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_slowest_is_the_scan(make_random_tree(options, seed));
+  }
+}
+
+TEST(MachineTreeSlowest, NearTiesFollowTheScanInEveryOrder) {
+  // r values closer than the 1e-9 tolerance: which pid wins depends on the
+  // order the scan meets them in.
+  std::array<double, 5> r = {1.0, 2.0, 2.0 + 0.6e-9, 2.0 + 1.2e-9,
+                             2.0 + 1.8e-9};
+  do {
+    expect_slowest_is_the_scan(make_hbsp1_cluster(r));
+  } while (std::next_permutation(r.begin(), r.end()));
+}
+
+TEST(MachineTreeSlowest, IsNotCombinedFromTheChildren) {
+  // Cluster A = {1, 2 + 0.5e-9}, cluster B = {2, 2 + 1.2e-9, 2 + 1.6e-9}.
+  // Their own scans pick pids 1 and 3, and 3 does not beat 1 by 1e-9; the
+  // scan over all five pids moves to pid 4, which beats pid 1 by 1.1e-9.
+  MachineSpec a;
+  a.children = {leaf("a0", 1.0), leaf("a1", 2.0 + 0.5e-9)};
+  MachineSpec b;
+  b.children = {leaf("b0", 2.0), leaf("b1", 2.0 + 1.2e-9),
+                leaf("b2", 2.0 + 1.6e-9)};
+  MachineSpec root;
+  root.children = {a, b};
+  const MachineTree tree = MachineTree::build(root, 1e-6);
+  EXPECT_EQ(tree.slowest_pid(tree.child(tree.root(), 0)), 1);
+  EXPECT_EQ(tree.slowest_pid(tree.child(tree.root(), 1)), 3);
+  EXPECT_EQ(tree.slowest_pid(tree.root()), 4);
+  expect_slowest_is_the_scan(tree);
 }
 
 TEST(MachineTree, Figure1ClusterLevels) {

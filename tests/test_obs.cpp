@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -133,6 +135,72 @@ TEST(ObsRegistry, ResetZeroesEveryCell) {
   EXPECT_TRUE(snap.gauges.empty());
 }
 
+TEST(ObsRegistry, HandleSurvivesReset) {
+  // reset() zeroes cells in place, so a handle resolved once (as the cache
+  // hit paths keep theirs, per thread) still writes into the snapshot.
+  Registry registry;
+  obs::Counter counter = registry.counter("kept");
+  obs::Histogram histogram = registry.histogram("kept_h");
+  counter.add(5);
+  histogram.record(0.5);
+  registry.reset();
+  counter.add(2);
+  histogram.record(0.25);
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter("kept"), 2u);
+  const obs::HistogramValue* value = snap.histogram("kept_h");
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(value->count, 1u);
+  EXPECT_EQ(value->sum, 0.25);
+}
+
+/// bucket_index as a loop that multiplies up to each bound: the reference
+/// the table-driven search must agree with everywhere.
+std::size_t bucket_index_by_loop(double value) {
+  std::size_t i = 0;
+  double bound = 1e-9;
+  while (i + 1 < obs::kHistogramBuckets && value >= bound) {
+    ++i;
+    bound *= 4.0;
+  }
+  return i;
+}
+
+TEST(ObsHistogram, BucketIndexMatchesTheBoundLoop) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                -1e-9,
+                                -1.0,
+                                -1e300,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (std::size_t i = 1; i < obs::kHistogramBuckets; ++i) {
+    const double bound = obs::bucket_lower_bound(i);
+    values.push_back(bound);
+    values.push_back(std::nextafter(bound, 0.0));
+    values.push_back(
+        std::nextafter(bound, std::numeric_limits<double>::infinity()));
+  }
+  // Log-uniform over 1e-12 .. 1e16, past both ends of the bounds.
+  std::mt19937_64 rng{20261020};
+  std::uniform_real_distribution<double> exponent(-12.0, 16.0);
+  for (int k = 0; k < 100000; ++k) values.push_back(std::pow(10.0, exponent(rng)));
+  for (const double value : values) {
+    ASSERT_EQ(obs::bucket_index(value), bucket_index_by_loop(value))
+        << "value " << value;
+  }
+  EXPECT_EQ(obs::bucket_index(std::numeric_limits<double>::quiet_NaN()), 0u);
+  // The bounds bucket_lower_bound reads are the loop's, bit for bit.
+  double bound = 1e-9;
+  for (std::size_t i = 1; i < obs::kHistogramBuckets; ++i, bound *= 4.0) {
+    EXPECT_EQ(obs::bucket_lower_bound(i), bound) << "bucket " << i;
+  }
+}
+
 TEST(ObsHistogram, BucketBoundsAreExponential) {
   EXPECT_EQ(obs::bucket_lower_bound(0), 0.0);
   EXPECT_DOUBLE_EQ(obs::bucket_lower_bound(1), 1e-9);
@@ -141,6 +209,9 @@ TEST(ObsHistogram, BucketBoundsAreExponential) {
   EXPECT_EQ(obs::bucket_index(5e-10), 0u);
   EXPECT_EQ(obs::bucket_index(2e-9), 1u);
   EXPECT_EQ(obs::bucket_index(1e30), obs::kHistogramBuckets - 1);
+  // The last bucket is open above.
+  EXPECT_EQ(obs::bucket_lower_bound(obs::kHistogramBuckets),
+            std::numeric_limits<double>::infinity());
 }
 
 TEST(ObsHistogram, RecordTracksCountSumMinMax) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/cost_model.hpp"
@@ -236,6 +237,81 @@ TEST(ScenarioCacheKey, PlanAndItsScheduleShareOneEntry) {
   const faults::FaultInjector injector{
       faults::make_chaos_plan(tree.num_processors(), options, 2001)};
   expect_one_scenario_entry(tree, *plan, &injector);
+}
+
+/// The sim.* part of a registry snapshot: each counter's value and each
+/// histogram's count, sum, min, max and buckets, for exact comparison.
+struct SimTotals {
+  using Histogram = std::tuple<std::uint64_t, double, double, double,
+                               std::vector<std::uint64_t>>;
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, Histogram> histograms;
+};
+
+SimTotals sim_totals(const obs::MetricsSnapshot& snap) {
+  SimTotals totals;
+  for (const obs::CounterValue& c : snap.counters) {
+    if (c.name.starts_with("sim.")) totals.counters[c.name] = c.value;
+  }
+  for (const obs::HistogramValue& h : snap.histograms) {
+    if (h.name.starts_with("sim.")) {
+      totals.histograms[h.name] = {h.count, h.sum, h.min, h.max, h.buckets};
+    }
+  }
+  return totals;
+}
+
+TEST(ScenarioCacheReplay, HitWritesWhatTheRunWrote) {
+  // A hit replays the miss's run record through the calling thread's
+  // handles, resolved on that thread's first replay. On the thread that
+  // simulated and on a new one, the sim.* totals must equal the
+  // simulation's own, histogram sums to the bit.
+  auto& registry = obs::Registry::global();
+  auto& scenarios = exp::ScenarioCache::global();
+  const sim::SimParams params;
+  for (const MachineTree& tree :
+       {make_figure1_cluster(), make_paper_testbed(6)}) {
+    const auto plan = PlanCache{}.get(
+        tree, {.kind = CollectiveKind::kGather,
+               .n = 100000,
+               .root_pid = tree.slowest_pid(tree.root()),
+               .shares = Shares::kEqual});
+    faults::ChaosOptions options;
+    options.slowdown_rate = 2.0;
+    options.drop_probability = 0.2;
+    options.message_loss_probability = 0.05;
+    const faults::FaultInjector chaos{
+        faults::make_chaos_plan(tree.num_processors(), options, 2001)};
+    for (const faults::FaultInjector* injector : {
+             static_cast<const faults::FaultInjector*>(nullptr), &chaos}) {
+      SCOPED_TRACE(injector == nullptr ? "fault-free" : "chaos");
+      const auto replay = [&] {
+        (void)exp::simulate_makespan(tree, *plan, params, injector);
+      };
+      scenarios.clear();
+      registry.reset();
+      replay();
+      ASSERT_EQ(registry.snapshot().counter("scenario.misses"), 1u);
+      const SimTotals simulated = sim_totals(registry.snapshot());
+      ASSERT_EQ(simulated.counters.at("sim.runs"), 1u);
+      ASSERT_EQ(simulated.histograms.size(), 3u);
+
+      registry.reset();
+      replay();
+      const SimTotals here = sim_totals(registry.snapshot());
+      EXPECT_EQ(here.counters, simulated.counters);
+      EXPECT_EQ(here.histograms, simulated.histograms);
+
+      registry.reset();
+      std::thread{replay}.join();
+      const obs::MetricsSnapshot there_snap = registry.snapshot();
+      EXPECT_EQ(there_snap.counter("scenario.hits"), 1u);
+      const SimTotals there = sim_totals(there_snap);
+      EXPECT_EQ(there.counters, simulated.counters);
+      EXPECT_EQ(there.histograms, simulated.histograms);
+    }
+  }
+  scenarios.clear();
 }
 
 TEST(PlanCacheLifetime, PlansSurviveClear) {
