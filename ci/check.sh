@@ -16,6 +16,7 @@
 #                               #   counter determinism) + warm-cache timing
 #                               #   + perfbench/determinism.py, its lines
 #                               #   diffed against ci/perfbench_determinism.txt
+#                               #   + one traced perfbench run per workload
 #   JOBS=8 ci/check.sh          # parallel build/test width
 #
 # Each configuration builds into its own tree (build-ci, build-ci-tsan,
@@ -200,8 +201,8 @@ svc_leg() {
 # in fresh processes and requires byte-identical counters (each run is
 # cache-cold at rep 0, so totals must agree run-to-run, not just
 # thread-to-thread), then gates the warm-cache speedup and runs the repo
-# benchmark's determinism check. Timing snapshots land in build-ci-relperf/
-# for CI to upload as artifacts.
+# benchmark's determinism check and its traced path. Timing snapshots land
+# in build-ci-relperf/ for CI to upload as artifacts.
 relperf_leg() {
   local dir=build-ci-relperf
   echo "== configure ${dir} (Release)"
@@ -245,6 +246,13 @@ relperf_leg() {
   echo "== perfbench determinism lines vs ci/perfbench_determinism.txt"
   grep '^    deterministic' "${dir}/perfbench_determinism.out" \
     | diff ci/perfbench_determinism.txt -
+
+  # perfbench's traced path, which every per-layer number comes from: each
+  # workload, run once at --trace 1, must end correct with no failures,
+  # report exactly BENCHMARK.json's per_layer metrics and write a valid
+  # trace.
+  echo "== perfbench traced runs"
+  python3 ci/check_perfbench_traced.py
 }
 
 case "${CONFIG}" in

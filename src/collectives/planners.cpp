@@ -34,6 +34,7 @@ void add_two_phase_broadcast(const MachineTree& tree, MachineId cluster,
   scatter.label = "bcast scatter L" + std::to_string(level);
   scatter.level = level;
   scatter.sync_scope = cluster;
+  scatter.transfers.reserve(static_cast<std::size_t>(m));
   std::vector<int> sites(static_cast<std::size_t>(m));
   for (int j = 0; j < m; ++j) {
     sites[static_cast<std::size_t>(j)] = data_site(tree, tree.child(cluster, j),
@@ -49,6 +50,11 @@ void add_two_phase_broadcast(const MachineTree& tree, MachineId cluster,
   exchange.label = "bcast exchange L" + std::to_string(level);
   exchange.level = level;
   exchange.sync_scope = cluster;
+  // Children sit in disjoint subtrees, so their sites differ and every
+  // child with a piece sends it to the other m - 1.
+  std::size_t senders = 0;
+  for (const std::size_t piece : split) senders += piece > 0 ? 1 : 0;
+  exchange.transfers.reserve(senders * static_cast<std::size_t>(m - 1));
   for (int j = 0; j < m; ++j) {
     for (int i = 0; i < m; ++i) {
       if (i == j || split[static_cast<std::size_t>(j)] == 0) continue;
@@ -98,6 +104,8 @@ CommSchedule plan_gather(const MachineTree& tree, std::size_t n,
       plan.level = level;
       plan.sync_scope = cluster;
       const int target = cluster_target(tree, cluster, root_pid);
+      plan.transfers.reserve(
+          static_cast<std::size_t>(tree.num_children(cluster)));
       for (int child = 0; child < tree.num_children(cluster); ++child) {
         const MachineId cid = tree.child(cluster, child);
         const int site = data_site(tree, cid, root_pid);
@@ -131,6 +139,8 @@ CommSchedule plan_scatter(const MachineTree& tree, std::size_t n,
       plan.level = level;
       plan.sync_scope = cluster;
       const int source = cluster_target(tree, cluster, root_pid);
+      plan.transfers.reserve(
+          static_cast<std::size_t>(tree.num_children(cluster)));
       for (int child = 0; child < tree.num_children(cluster); ++child) {
         const MachineId cid = tree.child(cluster, child);
         const int site = data_site(tree, cid, root_pid);
@@ -165,6 +175,8 @@ CommSchedule plan_broadcast(const MachineTree& tree, std::size_t n,
         plan.level = level;
         plan.sync_scope = cluster;
         const int src = cluster_target(tree, cluster, root_pid);
+        plan.transfers.reserve(
+            static_cast<std::size_t>(tree.num_children(cluster)));
         for (int child = 0; child < tree.num_children(cluster); ++child) {
           const int site = data_site(tree, tree.child(cluster, child), root_pid);
           if (site != src) plan.transfers.push_back({src, site, n});
@@ -258,6 +270,8 @@ CommSchedule plan_reduce_tree(const MachineTree& tree, std::size_t n,
       plan.level = level;
       plan.sync_scope = cluster;
       const int target = cluster_target(tree, cluster, root_pid);
+      plan.transfers.reserve(
+          static_cast<std::size_t>(tree.num_children(cluster)));
       std::size_t partials_received = 0;
       for (int child = 0; child < tree.num_children(cluster); ++child) {
         const int site = data_site(tree, tree.child(cluster, child), root_pid);

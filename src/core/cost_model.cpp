@@ -13,38 +13,62 @@ CostModel::CostModel(const MachineTree& tree, double seconds_per_op)
       seconds_per_op_(seconds_per_op < 0.0 ? tree.g() : seconds_per_op) {}
 
 double CostModel::h_relation(const SuperstepPlan& step) const {
-  // Accumulate per-processor sent/received volumes in a dense table over the
-  // step's pid span; with the §6 extension enabled, each transfer's items
-  // are weighted by λ(src,dst). The span lies inside the step's sync scope,
-  // so pricing a phase touches each processor at most once.
+  // The step's pid span and endpoint count, self-sends excluded.
   int lo = std::numeric_limits<int>::max();
   int hi = std::numeric_limits<int>::min();
+  std::size_t endpoints = 0;
   for (const auto& t : step.transfers) {
     if (t.src_pid == t.dst_pid) continue;
     lo = std::min({lo, t.src_pid, t.dst_pid});
     hi = std::max({hi, t.src_pid, t.dst_pid});
+    endpoints += 2;
   }
   if (lo > hi) return 0.0;
-  // Reject bad pids before sizing the table by them.
+  // Reject bad pids, the machine's and a λ table's (lo < hi here), before
+  // the table below is touched: a throw from the summing loop would leave
+  // it dirty for this thread's later calls.
   (void)tree_->processor_r(lo);
   (void)tree_->processor_r(hi);
-
   const bool weighted =
       destination_costs_ != nullptr && !destination_costs_->is_uniform();
-  const auto span = static_cast<std::size_t>(hi - lo) + 1;
-  std::vector<double> traffic(2 * span, 0.0);  // [2i] out, [2i + 1] in
+  if (weighted) (void)destination_costs_->factor(lo, hi);
+
+  // Per-processor sent/received volumes, summed in transfer order into a
+  // per-thread table indexed by pid; with the §6 extension enabled, each
+  // transfer's items are weighted by λ(src,dst). The table grows to the
+  // largest machine this thread prices and is all zeros between calls: a
+  // step adds into its endpoints' entries only, and reading an entry back
+  // zeroes it.
+  thread_local std::vector<double> table;  // [2·pid] out, [2·pid + 1] in
+  const auto slots = 2 * static_cast<std::size_t>(tree_->num_processors());
+  if (table.size() < slots) table.resize(slots, 0.0);
+  double* traffic = table.data();
   for (const auto& t : step.transfers) {
     if (t.src_pid == t.dst_pid) continue;
     const double weight =
         weighted ? destination_costs_->factor(t.src_pid, t.dst_pid) : 1.0;
     const double volume = weight * static_cast<double>(t.items);
-    traffic[2 * static_cast<std::size_t>(t.src_pid - lo)] += volume;
-    traffic[2 * static_cast<std::size_t>(t.dst_pid - lo) + 1] += volume;
+    traffic[2 * static_cast<std::size_t>(t.src_pid)] += volume;
+    traffic[2 * static_cast<std::size_t>(t.dst_pid) + 1] += volume;
   }
   double h = 0.0;
-  for (std::size_t i = 0; i < span; ++i) {
-    const double h_j = std::max(traffic[2 * i], traffic[2 * i + 1]);
-    h = std::max(h, tree_->processor_r(lo + static_cast<int>(i)) * h_j);
+  const auto take = [&](int pid) {
+    double* volumes = traffic + 2 * static_cast<std::size_t>(pid);
+    h = std::max(h, tree_->processor_r(pid) * std::max(volumes[0], volumes[1]));
+    volumes[0] = 0.0;
+    volumes[1] = 0.0;
+  };
+  // Read back by pid over the span when it is no wider than the endpoint
+  // list, else by endpoint: O(transfers) however wide the span. An endpoint
+  // met again reads the zeros its first reading left, which cannot raise h.
+  if (static_cast<std::size_t>(hi - lo) < endpoints) {
+    for (int pid = lo; pid <= hi; ++pid) take(pid);
+  } else {
+    for (const auto& t : step.transfers) {
+      if (t.src_pid == t.dst_pid) continue;
+      take(t.src_pid);
+      take(t.dst_pid);
+    }
   }
   return h;
 }

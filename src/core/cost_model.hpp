@@ -75,6 +75,11 @@ class CostModel {
   /// step's processors (self-sends excluded, as in the implementation the
   /// paper measures — §5.2 "a processor does not send data to itself").
   /// With destination costs enabled, each item is weighted by λ(src,dst).
+  /// Sums into a per-thread table and reads back only the step's endpoints
+  /// (or its pid span, when that is the shorter list), so it costs
+  /// O(transfers) however wide the span, allocates nothing once the
+  /// thread's table has grown to p, and is safe to call from many threads
+  /// at once. Throws std::out_of_range for a bad pid outside a self-send.
   [[nodiscard]] double h_relation(const SuperstepPlan& step) const;
 
   /// Full §3.4 pricing of one superstep.

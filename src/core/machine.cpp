@@ -157,13 +157,18 @@ MachineTree MachineTree::build(const MachineSpec& root, double g) {
   // over near-equal r values depends on the order it meets them in.
   for (auto& row : tree.levels_) {
     for (Node& n : row) {
-      int slowest = n.leaf_begin;
-      for (int pid = n.leaf_begin + 1; pid < n.leaf_end; ++pid) {
-        if (tree.processor_r(pid) > tree.processor_r(slowest) + kEps) {
+      const auto first = static_cast<std::size_t>(n.leaf_begin);
+      const auto last = static_cast<std::size_t>(n.leaf_end);
+      std::size_t slowest = first;
+      double slowest_r = tree.processors_[first].r;
+      for (std::size_t pid = first + 1; pid < last; ++pid) {
+        const double r = tree.processors_[pid].r;
+        if (r > slowest_r + kEps) {
           slowest = pid;
+          slowest_r = r;
         }
       }
-      n.slowest_pid = slowest;
+      n.slowest_pid = static_cast<int>(slowest);
     }
   }
 
@@ -226,16 +231,12 @@ int MachineTree::machines_at(int level) const {
   return static_cast<int>(levels_[static_cast<std::size_t>(level)].size());
 }
 
-const MachineTree::Node& MachineTree::node(MachineId id) const {
+void MachineTree::throw_bad_node(MachineId id) const {
   if (id.level < 0 || id.level >= num_levels()) {
     throw std::out_of_range{"node: bad level " + std::to_string(id.level)};
   }
-  const auto& row = levels_[static_cast<std::size_t>(id.level)];
-  if (id.index < 0 || id.index >= static_cast<int>(row.size())) {
-    throw std::out_of_range{"node: bad index " + std::to_string(id.index) +
-                            " at level " + std::to_string(id.level)};
-  }
-  return row[static_cast<std::size_t>(id.index)];
+  throw std::out_of_range{"node: bad index " + std::to_string(id.index) +
+                          " at level " + std::to_string(id.level)};
 }
 
 std::optional<MachineId> MachineTree::parent(MachineId id) const {
@@ -244,26 +245,19 @@ std::optional<MachineId> MachineTree::parent(MachineId id) const {
   return MachineId{id.level + 1, n.parent};
 }
 
-MachineId MachineTree::child(MachineId id, int nth) const {
-  const Node& n = node(id);
-  if (nth < 0 || nth >= static_cast<int>(n.children.size())) {
-    throw std::out_of_range{"child: bad ordinal " + std::to_string(nth)};
-  }
-  return MachineId{id.level - 1, n.children[static_cast<std::size_t>(nth)]};
+void MachineTree::throw_bad_child(int nth) {
+  throw std::out_of_range{"child: bad ordinal " + std::to_string(nth)};
 }
 
 void MachineTree::throw_bad_pid(int pid) {
   throw std::out_of_range{"processor: bad pid " + std::to_string(pid)};
 }
 
-std::pair<int, int> MachineTree::processor_range(MachineId id) const {
-  const Node& n = node(id);
-  return {n.leaf_begin, n.leaf_end};
+int MachineTree::lca_level(int pid_a, int pid_b) const {
+  return lca_of_slots(pid_slot(pid_a), pid_slot(pid_b));
 }
 
-int MachineTree::lca_level(int pid_a, int pid_b) const {
-  const std::size_t a = pid_slot(pid_a);
-  const std::size_t b = pid_slot(pid_b);
+int MachineTree::lca_of_slots(std::size_t a, std::size_t b) const {
   int level = std::max(processors_[a].id.level, processors_[b].id.level);
   if (a == b) return level;
   // Distinct processors are never each other's ancestors, so their rows
@@ -289,18 +283,24 @@ MachineId MachineTree::ancestor_at(int pid, int level) const {
                               static_cast<std::size_t>(level)]};
 }
 
-void MachineTree::route(int src_pid, int dst_pid,
-                        std::vector<MachineId>& out) const {
-  if (src_pid == dst_pid) return;
-  const int lca = lca_level(src_pid, dst_pid);
+int MachineTree::route(int src_pid, int dst_pid,
+                       std::vector<MachineId>& out) const {
+  const std::size_t a = pid_slot(src_pid);
+  const std::size_t b = pid_slot(dst_pid);
+  const int lca = lca_of_slots(a, b);
+  if (a == b) return lca;
+  const auto levels = static_cast<std::size_t>(num_levels());
+  const int* up_a = ancestors_.data() + a * levels;
+  const int* up_b = ancestors_.data() + b * levels;
   // Up from the source to (and including) the LCA...
-  for (int level = processor(src_pid).level + 1; level <= lca; ++level) {
-    out.push_back(ancestor_at(src_pid, level));
+  for (int level = processors_[a].id.level + 1; level <= lca; ++level) {
+    out.push_back({level, up_a[level]});
   }
   // ...and down to the destination, excluding the LCA already added.
-  for (int level = processor(dst_pid).level + 1; level < lca; ++level) {
-    out.push_back(ancestor_at(dst_pid, level));
+  for (int level = processors_[b].id.level + 1; level < lca; ++level) {
+    out.push_back({level, up_b[level]});
   }
+  return lca;
 }
 
 std::vector<MachineId> MachineTree::level_ids(int level) const {

@@ -97,11 +97,27 @@ class MachineTree {
 
   [[nodiscard]] MachineId root() const noexcept { return {height(), 0}; }
   [[nodiscard]] std::optional<MachineId> parent(MachineId id) const;
-  [[nodiscard]] MachineId child(MachineId id, int nth) const;
+  /// The `nth` child of `id`. Throws std::out_of_range for a bad node or
+  /// ordinal.
+  [[nodiscard]] MachineId child(MachineId id, int nth) const {
+    const Node& n = node(id);
+    if (nth < 0 || nth >= static_cast<int>(n.children.size())) {
+      throw_bad_child(nth);
+    }
+    return MachineId{id.level - 1, n.children[static_cast<std::size_t>(nth)]};
+  }
   [[nodiscard]] bool is_processor(MachineId id) const { return node(id).children.empty(); }
 
-  /// Direct access to the validated node record.
-  [[nodiscard]] const Node& node(MachineId id) const;
+  /// Direct access to the validated node record. Throws std::out_of_range
+  /// for a level or index outside the tree.
+  [[nodiscard]] const Node& node(MachineId id) const {
+    if (id.level < 0 || id.level >= num_levels()) throw_bad_node(id);
+    const auto& row = levels_[static_cast<std::size_t>(id.level)];
+    if (id.index < 0 || id.index >= static_cast<int>(row.size())) {
+      throw_bad_node(id);
+    }
+    return row[static_cast<std::size_t>(id.index)];
+  }
 
   // --- model parameters ----------------------------------------------------
 
@@ -135,7 +151,10 @@ class MachineTree {
 
   /// Processors of the subtree rooted at `id` as the contiguous pid range
   /// [first, last).
-  [[nodiscard]] std::pair<int, int> processor_range(MachineId id) const;
+  [[nodiscard]] std::pair<int, int> processor_range(MachineId id) const {
+    const Node& n = node(id);
+    return {n.leaf_begin, n.leaf_end};
+  }
 
   /// The coordinator processor of `id`'s subtree: its fastest processor
   /// (lowest r; ties broken by lowest pid). For a childless node, itself.
@@ -164,9 +183,12 @@ class MachineTree {
   /// Appends to `out` the interior nodes whose networks a message from
   /// processor `src_pid` to `dst_pid` crosses: the source's ancestors up to
   /// and including the LCA, then the destination's below the LCA, each side
-  /// leaf upward. Appends nothing when src == dst. Allocates only if `out`
-  /// must grow, so a caller can reuse one scratch vector per message.
-  void route(int src_pid, int dst_pid, std::vector<MachineId>& out) const;
+  /// leaf upward. Returns lca_level(src_pid, dst_pid), so a caller that
+  /// needs both pays for one LCA. Appends nothing when src == dst. Reads the
+  /// two ancestor rows directly and allocates only if `out` must grow, so a
+  /// caller can reuse one scratch vector per message. Throws
+  /// std::out_of_range for a bad pid.
+  int route(int src_pid, int dst_pid, std::vector<MachineId>& out) const;
 
   /// All machine ids on one level, in index order. O(m_i).
   [[nodiscard]] std::vector<MachineId> level_ids(int level) const;
@@ -191,6 +213,11 @@ class MachineTree {
     return static_cast<std::size_t>(pid);
   }
   [[noreturn]] static void throw_bad_pid(int pid);
+  [[noreturn]] void throw_bad_node(MachineId id) const;
+  [[noreturn]] static void throw_bad_child(int nth);
+
+  /// lca_level of the processors in rows `a` and `b`, both valid slots.
+  [[nodiscard]] int lca_of_slots(std::size_t a, std::size_t b) const;
 
   double g_ = 1.0;
   std::uint64_t fingerprint_ = 0;          ///< structural hash, set by build()

@@ -121,8 +121,7 @@ void ClusterSim::reset() {
   }
 }
 
-double ClusterSim::load_factor(int pid) const {
-  if (params_.load_stddev <= 0.0) return 1.0;
+double ClusterSim::drawn_load_factor(int pid) const {
   // One draw per (seed, superstep, pid): seed a tiny generator from the
   // mixed key so factors are independent and reproducible.
   std::uint64_t key = params_.load_seed;
@@ -273,21 +272,39 @@ void ClusterSim::order_arrivals(int first, int last) {
     drain_[bucket_end_[static_cast<std::size_t>(a.dst - first)]++] = a;
   }
   arrivals_.clear();
+  // Placement kept issue order, so seq rises inside each bucket and a
+  // stable insertion by time alone leaves it in (time, seq) order. Wider
+  // buckets, where insertion's quadratic worst case would show, sort by the
+  // full key.
+  constexpr std::size_t kInsertionWidth = 32;
   std::size_t begin = 0;
   for (std::size_t i = 0; i < width; ++i) {
     const std::size_t end = bucket_end_[i];
-    if (end - begin > 1) {
+    if (end - begin > kInsertionWidth) {
       std::sort(drain_.begin() + static_cast<std::ptrdiff_t>(begin),
                 drain_.begin() + static_cast<std::ptrdiff_t>(end),
                 [](const Arrival& x, const Arrival& y) {
                   return x.time != y.time ? x.time < y.time : x.seq < y.seq;
                 });
+    } else {
+      for (std::size_t next = begin + 1; next < end; ++next) {
+        const Arrival a = drain_[next];
+        std::size_t at = next;
+        for (; at > begin && drain_[at - 1].time > a.time; --at) {
+          drain_[at] = drain_[at - 1];
+        }
+        drain_[at] = a;
+      }
     }
     begin = end;
   }
 }
 
 PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
+  // Arrival::seq and the message key hold a transfer's position in 32 bits.
+  if (plan.transfers.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error{"execute_plan: more than 2^32 - 1 transfers"};
+  }
   ++plan_counter_;
   ++pending_.plans;
   const auto [first, last] = tree_->processor_range(plan.sync_scope);
@@ -381,7 +398,7 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
   //    attempt re-pays the sender overhead and the wire occupancy of each
   //    crossed network, so resilience is never free.
   double plan_wire_seconds = 0.0;
-  std::size_t seq = 0;
+  std::uint32_t seq = 0;
   for (const auto& t : plan.transfers) {
     ++seq;
     if (t.src_pid == t.dst_pid || t.items == 0) continue;
@@ -391,7 +408,9 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
     const double lambda =
         destination_costs_ ? destination_costs_->factor(t.src_pid, t.dst_pid)
                            : 1.0;
-    const int lca = tree_->lca_level(t.src_pid, t.dst_pid);
+    // The crossed networks and the LCA, once per message for every attempt.
+    route_scratch_.clear();
+    const int lca = tree_->route(t.src_pid, t.dst_pid, route_scratch_);
     // Message identity: stable across runs and thread counts, so the loss
     // draw for (message, attempt) replays bit-identically.
     const std::uint64_t message_key =
@@ -423,18 +442,15 @@ PlanTiming ClusterSim::execute_plan(const SuperstepPlan& plan) {
       }
 
       // Charge shared-medium occupancy on every crossed network.
-      route_scratch_.clear();
-      tree_->route(t.src_pid, t.dst_pid, route_scratch_);
       for (const MachineId net : route_scratch_) {
-        auto& stats = network_.stats(net);
+        const std::size_t net_slot = network_.slot(net);
+        NetworkStats& stats = network_.stats_at(net_slot);
         stats.items_crossed += t.items;
         ++stats.messages_crossed;
         const double wire =
             network_.wire_per_item(net.level) * static_cast<double>(t.items);
-        stats.wire_seconds += wire;
         plan_wire_seconds += wire;
         if (params_.model_wire_contention) {
-          const std::size_t net_slot = network_.slot(net);
           if (net_busy_[net_slot] == 0.0) net_touched_.push_back(net_slot);
           net_busy_[net_slot] += wire;
         }

@@ -159,22 +159,23 @@ class ClusterSim {
 
   PlanTiming execute_plan(const SuperstepPlan& plan);
 
-  /// One delivered message waiting for its receiver; its sender, size and
-  /// §6 weight are read back from the plan's transfer at the drain. The
-  /// drain visits receivers in pid order and each receiver's messages in
-  /// (arrival time, issue seq) order; seq is unique per transfer within a
-  /// plan, so that order is strict and does not depend on how the drain is
-  /// computed.
+  /// One delivered message waiting for its receiver, in 16 bytes; its
+  /// sender, size and §6 weight are read back from the plan's transfer at
+  /// the drain. The drain visits receivers in pid order and each receiver's
+  /// messages in (arrival time, issue seq) order; seq is unique per
+  /// transfer within a plan, so that order is strict and does not depend on
+  /// how the drain is computed.
   struct Arrival {
     double time;
-    std::size_t seq;  ///< 1-based position of the transfer in its plan
+    std::uint32_t seq;  ///< 1-based position of the transfer in its plan
     int dst;
   };
 
   /// Reorders `arrivals_` into `drain_` in the order above: a stable
   /// counting pass buckets arrivals by receiver over the scope [first,
-  /// last), then each bucket is sorted by (time, seq). O(scope + arrivals
-  /// log arrivals per receiver).
+  /// last), then each bucket is sorted by (time, seq), by insertion on time
+  /// alone when it holds at most 32. O(scope + arrivals log arrivals per
+  /// receiver).
   void order_arrivals(int first, int last);
 
   /// Writes `pending_` into the registry, merges it into `run_metrics_`
@@ -196,7 +197,11 @@ class ClusterSim {
   /// Background-load slowdown of `pid` during the current superstep
   /// (log-normal, deterministic per load_seed/pid/superstep; 1.0 when the
   /// load model is off).
-  [[nodiscard]] double load_factor(int pid) const;
+  [[nodiscard]] double load_factor(int pid) const {
+    return params_.load_stddev <= 0.0 ? 1.0 : drawn_load_factor(pid);
+  }
+  /// load_factor's draw, when the load model is on.
+  [[nodiscard]] double drawn_load_factor(int pid) const;
 
   const MachineTree* tree_;
   SimParams params_;

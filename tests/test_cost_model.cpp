@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -165,17 +167,44 @@ SuperstepPlan random_step(const MachineTree& tree, util::Rng& rng) {
   return step;
 }
 
+/// A superstep over at most six processors spread across the whole machine:
+/// its first transfer joins pid 0 and pid p - 1, so its pid span is the
+/// full width however few processors it touches.
+SuperstepPlan sparse_step(const MachineTree& tree, util::Rng& rng) {
+  const auto p = static_cast<std::uint64_t>(tree.num_processors());
+  std::vector<int> pids = {0, static_cast<int>(p - 1)};
+  if (rng.uniform01() < 0.5) std::swap(pids[0], pids[1]);
+  for (int i = 0; i < 4; ++i) {
+    pids.push_back(static_cast<int>(rng.uniform_u64(0, p - 1)));
+  }
+  const auto draw_pid = [&] { return pids[rng.uniform_u64(0, pids.size() - 1)]; };
+  SuperstepPlan step;
+  step.sync_scope = tree.root();
+  step.transfers.push_back({pids[0], pids[1], rng.uniform_u64(1, 5000)});
+  const auto transfers = rng.uniform_u64(0, 12);
+  for (std::uint64_t i = 0; i < transfers; ++i) {
+    const int src = draw_pid();
+    const int dst = rng.uniform01() < 0.15 ? src : draw_pid();
+    step.transfers.push_back({src, dst, rng.uniform_u64(0, 5000)});
+  }
+  return step;
+}
+
 TEST(CostModel, HRelationMatchesOrderedMapReference) {
   RandomTreeOptions options;
   options.max_fanout = 5;
   std::vector<MachineTree> trees;
   trees.push_back(make_figure1_cluster(kG));
   trees.push_back(make_hbsp1_cluster(std::array{1.0, 2.0, 4.0}, kG, kL));
+  const std::array cycle = {1.0, 2.5, 1.6, 4.0};
+  trees.push_back(make_uniform_tree(3, 10, cycle));  // p = 1000
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     options.levels = 1 + static_cast<int>(seed % 3);
     trees.push_back(make_random_tree(options, 40 + seed));
   }
-  util::Rng rng{2001};
+  // Four threads price through the same two models at once, so pricing
+  // scratch that threads share shows here as a mismatch, and to TSan.
+  constexpr std::uint64_t kThreads = 4;
   for (const MachineTree& tree : trees) {
     std::vector<double> factors;
     for (int level = 1; level <= tree.height(); ++level) {
@@ -185,16 +214,79 @@ TEST(CostModel, HRelationMatchesOrderedMapReference) {
     CostModel base{tree};
     CostModel weighted{tree};
     weighted.set_destination_costs(&by_level);
-    for (int trial = 0; trial < 200; ++trial) {
-      const SuperstepPlan step = random_step(tree, rng);
-      const double plain = reference_h_relation(tree, step, nullptr);
-      const double lambda = reference_h_relation(tree, step, &by_level);
-      EXPECT_EQ(base.h_relation(step), plain) << "trial " << trial;
-      EXPECT_EQ(base.cost(step).h, plain) << "trial " << trial;
-      EXPECT_EQ(weighted.h_relation(step), lambda) << "trial " << trial;
-      EXPECT_EQ(weighted.cost(step).h, lambda) << "trial " << trial;
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (std::uint64_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        util::Rng rng{2001 + t};
+        for (int trial = 0; trial < 200; ++trial) {
+          const SuperstepPlan step = trial % 2 == 0 ? random_step(tree, rng)
+                                                    : sparse_step(tree, rng);
+          const double plain = reference_h_relation(tree, step, nullptr);
+          const double lambda = reference_h_relation(tree, step, &by_level);
+          if (base.h_relation(step) != plain || base.cost(step).h != plain ||
+              weighted.h_relation(step) != lambda ||
+              weighted.cost(step).h != lambda) {
+            ++mismatches[t];
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (std::uint64_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0)
+          << "thread " << t << ", p = " << tree.num_processors();
     }
   }
+}
+
+TEST(CostModel, HRelationRejectsBadPid) {
+  const MachineTree tree = make_figure1_cluster(kG);
+  const int p = tree.num_processors();
+  std::vector<double> factors;
+  for (int level = 1; level <= tree.height(); ++level) {
+    factors.push_back(level == 1 ? 1.0 : factors.back() * 1.7);
+  }
+  const DestinationCosts by_level = DestinationCosts::by_level(tree, factors);
+  ASSERT_FALSE(by_level.is_uniform());
+  CostModel base{tree};
+  CostModel weighted{tree};
+  weighted.set_destination_costs(&by_level);
+  for (const CostModel* model : {&base, &weighted}) {
+    SuperstepPlan good;
+    good.sync_scope = tree.root();
+    good.transfers = {{0, p - 1, 5}};
+    const double h = model->h_relation(good);
+    EXPECT_GT(h, 0.0);
+    for (const int bad : {-1, p}) {
+      SCOPED_TRACE("bad pid " + std::to_string(bad));
+      SuperstepPlan step = good;
+      step.transfers.push_back({bad, 0, 5});
+      EXPECT_THROW((void)model->h_relation(step), std::out_of_range);
+      EXPECT_THROW((void)model->cost(step), std::out_of_range);
+      step.transfers.back() = {0, bad, 5};
+      EXPECT_THROW((void)model->h_relation(step), std::out_of_range);
+      EXPECT_THROW((void)model->cost(step), std::out_of_range);
+      // A self-send is skipped before any check, so its pid is never read.
+      step.transfers.back() = {bad, bad, 5};
+      EXPECT_EQ(model->h_relation(step), h);
+      EXPECT_EQ(model->cost(step).h, h);
+    }
+  }
+  // A λ table smaller than the machine rejects a pid it does not cover, and
+  // the throw leaves later pricing exact.
+  const DestinationCosts two =
+      DestinationCosts::from_matrix({{1.0, 2.0}, {2.0, 1.0}});
+  CostModel short_lambda{tree};
+  short_lambda.set_destination_costs(&two);
+  SuperstepPlan inside;
+  inside.sync_scope = tree.root();
+  inside.transfers = {{0, 1, 5}};
+  const double h_inside = short_lambda.h_relation(inside);
+  SuperstepPlan beyond = inside;
+  beyond.transfers.push_back({0, p - 1, 5});
+  EXPECT_THROW((void)short_lambda.h_relation(beyond), std::out_of_range);
+  EXPECT_EQ(short_lambda.h_relation(inside), h_inside);
 }
 
 TEST(CostModel, EmptySchedule) {

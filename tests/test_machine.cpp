@@ -425,12 +425,20 @@ void expect_queries_match_walk(const MachineTree& tree) {
     EXPECT_THROW((void)tree.ancestor_at(pid, own - 1), std::invalid_argument);
     EXPECT_THROW((void)tree.ancestor_at(pid, tree.height() + 1),
                  std::invalid_argument);
+    std::vector<MachineId> crossed;
     for (int other = 0; other < p; ++other) {
-      EXPECT_EQ(tree.lca_level(pid, other), walk_lca_level(tree, pid, other))
+      const int lca = walk_lca_level(tree, pid, other);
+      EXPECT_EQ(tree.lca_level(pid, other), lca)
+          << "pids " << pid << ", " << other;
+      crossed.clear();
+      EXPECT_EQ(tree.route(pid, other, crossed), lca)
           << "pids " << pid << ", " << other;
     }
   }
+  std::vector<MachineId> crossed;
   for (const int bad : {-1, p, p + 7}) {
+    EXPECT_THROW(tree.route(bad, 0, crossed), std::out_of_range);
+    EXPECT_THROW(tree.route(0, bad, crossed), std::out_of_range);
     EXPECT_THROW((void)tree.processor_r(bad), std::out_of_range);
     EXPECT_THROW((void)tree.processor_compute_r(bad), std::out_of_range);
     EXPECT_THROW((void)tree.ancestor_at(bad, tree.height()), std::out_of_range);

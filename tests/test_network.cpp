@@ -62,7 +62,7 @@ TEST(NetworkStats, AccumulateAndReset) {
   const MachineTree tree = make_figure1_cluster();
   const SimParams params;
   Network network{tree, params};
-  auto& campus = network.stats(tree.root());
+  auto& campus = network.stats_at(network.slot(tree.root()));
   campus.items_crossed += 100;
   campus.messages_crossed += 2;
   EXPECT_EQ(network.stats(tree.root()).items_crossed, 100u);
@@ -76,6 +76,13 @@ TEST(NetworkStats, BadIdThrows) {
   const SimParams params;
   const Network network{tree, params};
   EXPECT_THROW((void)network.stats(MachineId{9, 0}), std::out_of_range);
+  // An index past its level's end names no network: it must neither alias
+  // the next level's first one nor read past the table.
+  EXPECT_THROW((void)network.slot(MachineId{0, -1}), std::out_of_range);
+  EXPECT_THROW((void)network.slot(MachineId{0, tree.machines_at(0)}),
+               std::out_of_range);
+  EXPECT_THROW((void)network.stats(MachineId{tree.height(), 1}),
+               std::out_of_range);
 }
 
 }  // namespace

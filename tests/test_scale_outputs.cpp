@@ -1,11 +1,13 @@
 // Pins planner, cost-model and simulator outputs beyond the 10-machine
 // testbed: every advisor candidate of gather, broadcast, scatter and reduce
-// on a p = 10^3 uniform tree and on a seeded random k = 4 tree whose
-// childless interior nodes put processors above level 0. Each candidate's
-// exact CostModel total, simulated makespan and simulator event count are
-// compared bit for bit with recorded values, so any change to how a
-// transfer is priced, routed or drained that moves a single result fails
-// here, at a scale where every per-message path runs thousands of times.
+// on a p = 10^3 uniform tree, on a flat p = 300 machine and a p = 1600
+// two-level one (receivers that drain hundreds and tens of messages in one
+// plan), and on a seeded random k = 4 tree whose childless interior nodes
+// put processors above level 0. Each candidate's exact CostModel total,
+// simulated makespan and simulator event count are compared bit for bit
+// with recorded values, so any change to how a transfer is priced, routed
+// or drained that moves a single result fails here, at a scale where every
+// per-message path runs thousands of times.
 
 #include <gtest/gtest.h>
 
@@ -117,6 +119,63 @@ TEST(ScaleOutputs, UniformThousandProcessors) {
       {0.42605000000000004, 0.48226299999999994, 15217},
       {0.4239735, 0.48103180000000006, 15217},
       {0.42621200000000004, 0.48311890000000007, 15217},
+  });
+}
+
+// A flat machine of 300: the gather coordinator and every reduce target
+// drain 299 messages in one plan, and the two-phase broadcast's exchange
+// sends 299 x 298 of them.
+TEST(ScaleOutputs, FlatThreeHundredWideReceivers) {
+  const std::array<double, 4> cycle = {1.0, 2.5, 1.6, 4.0};
+  const MachineTree tree = make_uniform_tree(1, 300, cycle);
+  ASSERT_EQ(tree.num_processors(), 300);
+  expect_pinned(tree, {
+      // gather: fast root balanced/equal, slow root balanced/equal
+      {0.996139, 0.71324829999999761, 2095},
+      {0.99866599999999994, 0.71248920000000038, 2095},
+      {3.9961399999999996, 2.8401589999999906, 2095},
+      {3.9886639999999995, 2.8323978000000012, 2095},
+      // broadcast: one-phase, two-phase
+      {299.00200000000001, 301.80860000000143, 2095},
+      {4.9881299999999991, 180.41659839959681, 451195},
+      // scatter
+      {0.996139, 1.0068410000000003, 2095},
+      {0.99866599999999994, 1.0145984000000077, 2095},
+      {3.9961399999999996, 4.0247820000000019, 2095},
+      {3.9886639999999995, 4.0225364000000301, 2095},
+      // reduce
+      {0.010457999999999999, 0.019859299999999948, 3297},
+      {0.017929999999999998, 0.020513500000000025, 3297},
+      {0.012251999999999999, 0.048294199999999808, 3297},
+      {0.019724000000000002, 0.0552451999999998, 3297},
+  });
+}
+
+// p = 1600 in 40 clusters of 40: every two-phase broadcast exchange, at
+// both levels, has 40 receivers that each drain 39 messages.
+TEST(ScaleOutputs, TwoLevelFortyByFortyWideExchanges) {
+  const std::array<double, 4> cycle = {1.0, 2.5, 1.6, 4.0};
+  const MachineTree tree = make_uniform_tree(2, 40, cycle);
+  ASSERT_EQ(tree.num_processors(), 1600);
+  expect_pinned(tree, {
+      // gather: fast root balanced/equal, slow root balanced/equal
+      {1.0209010000000001, 4.7215197000000027, 14395},
+      {1.0213749999999999, 4.7213775000000027, 14395},
+      {4.0209000000000001, 4.7215197000000027, 14395},
+      {4.0194999999999999, 4.7213775000000027, 14395},
+      // broadcast: one-phase, two-phase
+      {43.899000000000001, 211.67040000000111, 329595},
+      {6.8689999999999998, 216.37040000000508, 340595},
+      // scatter
+      {1.0209010000000001, 4.7280710000000115, 14395},
+      {1.0213749999999999, 4.7295249999999855, 14395},
+      {4.0209000000000001, 4.8054100000000037, 14395},
+      {4.0194999999999999, 4.8049900000000036, 14395},
+      // reduce
+      {0.043254000000000001, 0.051112599999999994, 20877},
+      {0.044652000000000004, 0.051683299999999988, 20877},
+      {0.043721999999999997, 0.054821499999999967, 20877},
+      {0.04512, 0.055392199999999975, 20877},
   });
 }
 
